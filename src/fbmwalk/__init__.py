@@ -5,8 +5,7 @@ modes, deterministic parallel aggregation, exact Cholesky oracles and Hurst
 estimators, behind one CLI (``fbmwalk generate|estimate|validate|spread``).
 """
 
-from ._backend import BACKEND
-from .aggregate import AggregatedPath, PathAccumulator, generate_fbm
+from .aggregate import BACKEND, AggregatedPath, generate_fbm
 from .estimators import (
     EstimateReport,
     aggregated_variance_hurst,
@@ -36,12 +35,10 @@ from .sampling import (
     PSample,
     density_p,
     feasibility_threshold,
-    sample_p,
-    solve_p,
     target_from_uniform,
 )
 from .special import bvn_cdf, ln_gamma, std_normal_cdf, std_normal_quantile
-from .walk import Trajectory, WalkConfig, chain_lag_correlation, generate_trajectory
+from .walk import Trajectory, chain_lag_correlation
 
 __version__ = "0.1.0"
 
@@ -49,7 +46,6 @@ __all__ = [
     "BACKEND",
     "__version__",
     "AggregatedPath",
-    "PathAccumulator",
     "generate_fbm",
     "EstimateReport",
     "aggregated_variance_hurst",
@@ -74,15 +70,11 @@ __all__ = [
     "PSample",
     "density_p",
     "feasibility_threshold",
-    "sample_p",
-    "solve_p",
     "target_from_uniform",
     "bvn_cdf",
     "ln_gamma",
     "std_normal_cdf",
     "std_normal_quantile",
     "Trajectory",
-    "WalkConfig",
     "chain_lag_correlation",
-    "generate_trajectory",
 ]

@@ -1,10 +1,10 @@
 """Pure-numpy walk kernels: uniforms in, integer cumulative levels out.
 
 Each kernel consumes pre-drawn uniform arrays in a documented order, so the
-compiled lane in ``_kernels_cy`` can reproduce results bit for bit.  The
-sequential recursions are rewritten as renewal processes: the value at step i
-equals the value injected at the most recent renewal, which vectorises as a
-forward fill over renewal indices.
+levels are fixed by the uniforms alone.  The sequential recursions are
+rewritten as renewal processes: the value at step i equals the value injected
+at the most recent renewal, which vectorises as a forward fill over renewal
+indices.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ def _forward_fill_bool(src: np.ndarray, renew: np.ndarray) -> np.ndarray:
 def paper_levels(gate: np.ndarray, val: np.ndarray, p: float, rho: float) -> np.ndarray:
     """Persistence-gated renewal walk: keep the previous bit while gate < rho.
 
-    Step 0 takes Bernoulli(p) from val[0] (gate[0] is drawn but unused, which
-    keeps the two uniform streams aligned with the scalar recursion).  Steps
-    i >= 1 keep the previous bit when gate[i] < rho, otherwise redraw it as
-    Bernoulli(p) from val[i].  Returns int64 cumulative sums of the +-1 steps.
+    Step 0 takes Bernoulli(p) from val[0] (gate[0] is drawn but unused, so
+    both arrays hold one uniform per step).  Steps i >= 1 keep the previous
+    bit when gate[i] < rho, otherwise redraw it as Bernoulli(p) from val[i].
+    Returns int64 cumulative sums of the +-1 steps.
     """
     renew = gate >= rho
     renew[0] = True

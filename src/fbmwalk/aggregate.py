@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import BACKEND, kernels
+from . import _kernels as kernels
 from .fgn import HurstModel
-from .link import n_step_correlation, persistence_from_p
+from .link import n_step_correlation, persistence_from_p, sigma_max
 from .sampling import InfeasiblePolicy, _draw_target, solve_p_batch
-from .walk import Trajectory, draw_persistence
+from .walk import draw_persistence
 
-__all__ = ["AggregatedPath", "PathAccumulator", "generate_fbm"]
+__all__ = ["AggregatedPath", "BACKEND", "generate_fbm"]
 
+BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 _BLOCK = 64  # trajectories per reduction block; fixed so results never depend on workers
 
 
@@ -46,59 +48,8 @@ def standardized_levels(levels: np.ndarray, p: float, karr: np.ndarray) -> np.nd
     return (levels - karr * mean_step) / scale
 
 
-@dataclass
-class PathAccumulator:
-    """Running sum of standardised trajectory levels of a fixed length."""
-
-    n_steps: int
-    total: np.ndarray = None  # type: ignore[assignment]
-    count: int = 0
-    resampled_total: int = 0
-    resampled_max: int = 0
-
-    def __post_init__(self) -> None:
-        if self.total is None:
-            self.total = np.zeros(self.n_steps, dtype=np.float64)
-        self._karr = np.arange(1, self.n_steps + 1, dtype=np.float64)
-
-    def add(self, trajectory: Trajectory) -> "PathAccumulator":
-        if trajectory.n_steps != self.n_steps:
-            raise ValueError(
-                f"trajectory length {trajectory.n_steps} != accumulator length {self.n_steps}"
-            )
-        self.total += standardized_levels(trajectory.levels, trajectory.p, self._karr)
-        self.count += 1
-        if trajectory.psample is not None:
-            c = trajectory.psample.resampled_count
-            self.resampled_total += c
-            self.resampled_max = max(self.resampled_max, c)
-        return self
-
-    def finalize(self, model: HurstModel, meta: dict | None = None) -> AggregatedPath:
-        if self.count < 1:
-            raise ValueError("cannot finalize an empty accumulator")
-        n = self.n_steps
-        values = np.empty(n + 1, dtype=np.float64)
-        values[0] = 0.0
-        values[1:] = model.a_h * self.total / (n**model.h * np.sqrt(self.count))
-        out_meta = {
-            "resample_total": self.resampled_total,
-            "resample_max": self.resampled_max,
-        }
-        if meta:
-            out_meta.update(meta)
-        return AggregatedPath(
-            h=model.h,
-            n_steps=n,
-            n_paths=self.count,
-            times=np.arange(n + 1, dtype=np.float64) / n,
-            values=values,
-            meta=out_meta,
-        )
-
-
 def _walk_levels(rng: np.random.Generator, mode: str, n: int, p: float, aux: float) -> np.ndarray:
-    """Step arrays drawn here, in the same order generate_trajectory uses."""
+    """Draw the step uniforms from the trajectory's own stream and walk them."""
     if mode == "paper":
         gate = rng.random(n)
         val = rng.random(n)
@@ -140,6 +91,8 @@ def generate_fbm(
         raise ValueError("n_steps must be >= 2")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if mode not in ("paper", "matched", "enriquez"):
         raise ValueError(f"unknown mode {mode!r}")
     policy = InfeasiblePolicy(policy)
@@ -160,12 +113,13 @@ def generate_fbm(
             aux = np.array([draw_persistence(r, model) for r in rngs])
         ps = np.full(n_paths, 0.5)
     else:
+        s_max = sigma_max(model)
         if shared_p:
-            u, target, count = _draw_target(shared_rng, model, policy)
+            _, target, count = _draw_target(shared_rng, model, policy, s_max)
             targets = np.full(n_paths, target)
             counts = [count]
         else:
-            drawn = [_draw_target(r, model, policy) for r in rngs]
+            drawn = [_draw_target(r, model, policy, s_max) for r in rngs]
             targets = np.array([d[1] for d in drawn])
             counts = [d[2] for d in drawn]
         resample_total = int(sum(counts))
@@ -183,16 +137,11 @@ def generate_fbm(
         return standardized_levels(levels, float(ps[i]), karr)
 
     total = np.zeros(n_steps, dtype=np.float64)
-    if workers <= 1:
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
         for start in range(0, n_paths, _BLOCK):
-            block = [task(i) for i in range(start, min(start + _BLOCK, n_paths))]
-            total += _pairwise_sum(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, n_paths, _BLOCK):
-                idx = range(start, min(start + _BLOCK, n_paths))
-                block = list(pool.map(task, idx))
-                total += _pairwise_sum(block)
+            block = mapper(task, range(start, min(start + _BLOCK, n_paths)))
+            total += _pairwise_sum(list(block))
 
     values = np.empty(n_steps + 1, dtype=np.float64)
     values[0] = 0.0

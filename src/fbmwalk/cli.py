@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
-from ._backend import BACKEND
-from .aggregate import generate_fbm
+from .aggregate import BACKEND, generate_fbm
 from .estimators import (
     DegeneratePathError,
     InsufficientLengthError,
@@ -30,7 +30,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VALIDATION = 4
 
-_MODES = ("paper", "matched", "enriquez", "gaussian-oracle")
+_WALK_MODES = ("paper", "matched", "enriquez")
 
 
 def _fail(category: str, message: str, code: int) -> int:
@@ -68,9 +68,12 @@ def _read_path_csv(path: str) -> np.ndarray:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two comma-separated fields")
             try:
-                values.append(float(parts[1]))
+                value = float(parts[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparsable value {parts[1]!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
+            values.append(value)
     return np.asarray(values, dtype=np.float64)
 
 
@@ -148,7 +151,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     checks = run_validation(
         model,
         seed=args.seed,
-        mode=args.mode if args.mode != "gaussian-oracle" else "paper",
+        mode=args.mode,
         n_steps=args.steps,
         n_paths=args.paths,
         runs=args.runs,
@@ -176,7 +179,7 @@ def cmd_spread(args: argparse.Namespace) -> int:
         n_steps=args.steps,
         n_paths=args.paths,
         replicates=args.replicates,
-        mode=args.mode if args.mode != "gaussian-oracle" else "paper",
+        mode=args.mode,
         policy=InfeasiblePolicy(args.infeasible),
         seed=args.seed,
         workers=args.workers,
@@ -199,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, paths_default: int) -> None:
+    def common(p: argparse.ArgumentParser, paths_default: int, modes: tuple[str, ...] = _WALK_MODES) -> None:
         p.add_argument("--hurst", type=float, required=True, help="Hurst exponent in (1/2, 1)")
         p.add_argument("--steps", type=int, default=4096, help="time steps N per trajectory")
         p.add_argument("--paths", type=int, default=paths_default, help="trajectories M to aggregate")
         p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
-        p.add_argument("--mode", choices=_MODES, default="paper")
+        p.add_argument("--mode", choices=modes, default="paper")
         p.add_argument(
             "--infeasible",
             choices=[p.value for p in InfeasiblePolicy],
@@ -215,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1, help="worker threads (never changes output bytes)")
 
     g = sub.add_parser("generate", help="generate a path and write CSV/JSON plus metadata sidecar")
-    common(g, paths_default=1024)
+    common(g, paths_default=1024, modes=(*_WALK_MODES, "gaussian-oracle"))
     g.add_argument("--out", required=True, help="output file")
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--raw-levels", action="store_true", help="emit integer step index instead of t=k/N")

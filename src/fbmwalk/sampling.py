@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .fgn import HurstModel
-from .link import n_step_correlation, persistence_from_p, sigma_max
+from .link import n_step_correlation, sigma_max
 
 __all__ = [
     "InfeasiblePolicy",
@@ -25,9 +25,7 @@ __all__ = [
     "PSample",
     "target_from_uniform",
     "feasibility_threshold",
-    "solve_p",
     "solve_p_batch",
-    "sample_p",
     "density_p",
     "feasible_mass",
 ]
@@ -60,7 +58,7 @@ class InfeasibleUniformError(ValueError):
 
 
 class InfeasibleTargetError(ValueError):
-    """Raised when solve_p is handed a target above sigma_max."""
+    """Raised when solve_p_batch is handed a target above sigma_max."""
 
 
 @dataclass(frozen=True)
@@ -131,31 +129,15 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel) -> np.ndarray:
     return p
 
 
-def solve_p(target: float, model: HurstModel) -> float:
-    """Scalar wrapper over solve_p_batch (single root-finding code path)."""
-    return float(solve_p_batch(np.array([target]), model)[0])
-
-
-def sample_p(
-    rng: np.random.Generator,
-    model: HurstModel,
-    policy: InfeasiblePolicy = InfeasiblePolicy.RESAMPLE,
-) -> PSample:
-    """Draw one PSample from the uniform source under the given policy.
-
-    The source is consumed one uniform per attempt; the number of rejected
-    attempts is recorded so a fixed seed reproduces the sample exactly.
-    """
-    u, target, count = _draw_target(rng, model, policy)
-    p = solve_p(target, model)
-    return PSample(u=u, target=target, p=p, rho=float(persistence_from_p(p, model)), resampled_count=count)
-
-
 def _draw_target(
-    rng: np.random.Generator, model: HurstModel, policy: InfeasiblePolicy
+    rng: np.random.Generator, model: HurstModel, policy: InfeasiblePolicy, s_max: float
 ) -> tuple[float, float, int]:
-    """Uniform-draw phase of sample_p: returns (u, solvable target, rejections)."""
-    s_max = sigma_max(model)
+    """Draw one solvable target under the policy: returns (u, target, rejections).
+
+    The source is consumed one uniform per attempt, so a fixed seed
+    reproduces the rejection count; ``s_max`` is ``sigma_max(model)``, passed
+    in so a run computes it once rather than once per draw.
+    """
     count = 0
     while True:
         u = float(rng.random())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import kernels
+from . import _kernels as kernels
 from .aggregate import generate_fbm
 from .estimators import estimate_report
 from .fgn import HurstModel, theoretical_mixture_correlation

@@ -1,6 +1,6 @@
 """Single correlated +-1 trajectories.
 
-Three generation modes share one Trajectory shape:
+Three generation modes, all generated by ``aggregate.generate_fbm``:
 
 * ``paper``    - the persistence-gated renewal recursion driven by rho(p);
                  its exact lag-1 increment correlation is rho(p), not the
@@ -13,47 +13,20 @@ Three generation modes share one Trajectory shape:
 
 Each trajectory consumes uniforms from its own generator in a fixed order
 (parameter draws first, then the step arrays), so a (config, seed) pair is
-reproducible bit for bit on either kernel lane.
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from ._backend import kernels
 from .fgn import HurstModel
 from .link import n_step_correlation, persistence_from_p
-from .sampling import InfeasiblePolicy, PSample, _draw_target, solve_p
+from .sampling import PSample
 
-__all__ = [
-    "WalkMode",
-    "WalkConfig",
-    "Trajectory",
-    "next_increment",
-    "generate_trajectory",
-    "chain_lag_correlation",
-    "draw_persistence",
-]
-
-WalkMode = Literal["paper", "matched", "enriquez"]
-_MODES = ("paper", "matched", "enriquez")
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    n_steps: int
-    model: HurstModel
-    mode: WalkMode = "paper"
-    policy: InfeasiblePolicy = InfeasiblePolicy.RESAMPLE
-
-    def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+__all__ = ["Trajectory", "chain_lag_correlation", "draw_persistence"]
 
 
 @dataclass(frozen=True)
@@ -62,35 +35,11 @@ class Trajectory:
 
     levels: np.ndarray  # int64, length n_steps, X_1..X_n with X_0 = 0
     psample: PSample | None = None
-    persistence: float | None = None  # enriquez draw
     mode: str = "paper"
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.levels.shape[0])
 
     @property
     def increments(self) -> np.ndarray:
         return np.diff(self.levels, prepend=np.int64(0))
-
-    @property
-    def p(self) -> float:
-        return self.psample.p if self.psample is not None else 0.5
-
-
-def next_increment(previous: int, p: float, rho: float, rng: np.random.Generator) -> int:
-    """One step of the renewal recursion: keep `previous` w.p. rho, else Bernoulli(p).
-
-    Draws the persistence gate first and the refresh value second, matching
-    the array layout the kernels consume.
-    """
-    if previous not in (0, 1):
-        raise ValueError("previous bit must be 0 or 1")
-    gate = rng.random()
-    val = rng.random()
-    if gate < rho:
-        return previous
-    return 1 if val < p else 0
 
 
 def draw_persistence(rng: np.random.Generator, model: HurstModel) -> float:
@@ -99,39 +48,8 @@ def draw_persistence(rng: np.random.Generator, model: HurstModel) -> float:
     return 1.0 - 0.5 * float(np.exp(np.log1p(-u) / (2.0 - 2.0 * model.h)))
 
 
-def generate_trajectory(config: WalkConfig, seed) -> Trajectory:
-    """Generate one trajectory; `seed` is an int, SeedSequence or Generator."""
-    rng = np.random.default_rng(seed)
-    n = config.n_steps
-
-    if config.mode == "enriquez":
-        rho = draw_persistence(rng, config.model)
-        u = rng.random(n)
-        levels = kernels.enriquez_levels(u, rho)
-        return Trajectory(levels=levels, persistence=rho, mode=config.mode)
-
-    u0, target, count = _draw_target(rng, config.model, config.policy)
-    p = solve_p(target, config.model)
-    ps = PSample(
-        u=u0,
-        target=target,
-        p=p,
-        rho=float(persistence_from_p(p, config.model)),
-        resampled_count=count,
-    )
-    if config.mode == "paper":
-        gate = rng.random(n)
-        val = rng.random(n)
-        levels = kernels.paper_levels(gate, val, p, ps.rho)
-    else:
-        sigma1 = float(n_step_correlation(p, config.model, 1))
-        u = rng.random(n)
-        levels = kernels.matched_levels(u, p, sigma1)
-    return Trajectory(levels=levels, psample=ps, mode=config.mode)
-
-
 def chain_lag_correlation(
-    mode: WalkMode,
+    mode: str,
     p: float,
     model: HurstModel,
     n: int,

@@ -235,7 +235,7 @@ def test_criterion_6_inversion_roundtrip(h):
 
 
 def test_criterion_7_paper_chain_law():
-    from fbmwalk._backend import kernels
+    import fbmwalk._kernels as kernels
 
     model = HurstModel(0.7)
     p = 0.3

@@ -3,61 +3,46 @@ import math
 import numpy as np
 import pytest
 
+import fbmwalk._kernels as kernels
 from fbmwalk import (
     HurstModel,
-    PathAccumulator,
-    PSample,
-    Trajectory,
-    WalkConfig,
     generate_fbm,
-    generate_trajectory,
+    n_step_correlation,
+    persistence_from_p,
     scaling_constant,
     theoretical_mixture_correlation,
 )
+from fbmwalk.aggregate import _pairwise_sum, standardized_levels
 from fbmwalk.estimators import empirical_acf
+from fbmwalk.link import sigma_max
+from fbmwalk.sampling import InfeasiblePolicy, _draw_target, solve_p_batch
 from fbmwalk.validate import jarque_bera
+from fbmwalk.walk import draw_persistence
 
 from conftest import acf_known_mean
 
-
-def _const_trajectory(n: int, p: float = 0.5) -> Trajectory:
-    ps = PSample(u=float("nan"), target=float("nan"), p=p, rho=0.6, resampled_count=0)
-    return Trajectory(levels=np.arange(1, n + 1, dtype=np.int64), psample=ps, mode="paper")
-
-
-# ---------------------------------------------------------------- accumulator
+# ---------------------------------------------------------------- reduction
 
 
 def test_accumulate_identity_and_linearity(model_07):
-    acc = PathAccumulator(8)
-    assert np.all(acc.total == 0.0)  # empty accumulator is the identity
-    t = _const_trajectory(8)
-    acc.add(t)
+    karr = np.arange(1, 9, dtype=np.float64)
     # all-up walk at p=1/2: standardized level at step k is exactly k
-    assert np.array_equal(acc.total, np.arange(1, 9, dtype=np.float64))
-    acc.add(t)
-    assert np.array_equal(acc.total, 2.0 * np.arange(1, 9, dtype=np.float64))
-
-
-def test_accumulate_length_mismatch(model_07):
-    acc = PathAccumulator(8)
-    with pytest.raises(ValueError):
-        acc.add(_const_trajectory(9))
+    up = standardized_levels(np.arange(1, 9, dtype=np.int64), 0.5, karr)
+    assert np.array_equal(up, karr)
+    assert np.array_equal(_pairwise_sum([up]), up)  # a single trajectory is the identity
+    assert np.array_equal(_pairwise_sum([up, up]), 2.0 * karr)
+    assert np.array_equal(_pairwise_sum([up, up, up]), 3.0 * karr)
 
 
 def test_finalize_single_step_constant():
+    # at p = 1/2 a standardized step is +-1, so one trajectory's first value
+    # is +-a_H / N^H: with N = 2, |B(1/2)| 2^H recovers the scaling constant
     m = HurstModel(0.75)
-    acc = PathAccumulator(1)
-    acc.add(_const_trajectory(1))
-    path = acc.finalize(m)
+    path = generate_fbm(m, 2, 1, mode="enriquez", seed=0)
     assert path.values[0] == 0.0
-    assert path.values[1] == pytest.approx(scaling_constant(0.75), abs=1e-15)
-    assert path.values[1] == pytest.approx(math.sqrt(0.75 / math.sqrt(math.pi)), abs=1e-12)
-
-
-def test_finalize_empty_raises(model_07):
-    with pytest.raises(ValueError):
-        PathAccumulator(4).finalize(model_07)
+    first = abs(path.values[1]) * 2.0**0.75
+    assert first == pytest.approx(scaling_constant(0.75), abs=1e-15)
+    assert first == pytest.approx(math.sqrt(0.75 / math.sqrt(math.pi)), abs=1e-12)
 
 
 # ---------------------------------------------------------------- generate_fbm
@@ -85,24 +70,50 @@ def test_worker_count_invariance(model_07):
             assert np.array_equal(ref.values, out.values), (mode, w)
 
 
-def test_matches_standalone_trajectories(model_07):
-    """The aggregate equals hand-accumulated standalone trajectories.
+def _standalone_trajectory(model, mode: str, n: int, child) -> np.ndarray:
+    """Standardised levels of one trajectory, rebuilt from its child stream.
 
-    generate_fbm spawns child streams from the master seed; trajectory i is
-    bit-identical to generate_trajectory run on child i.  The streaming
-    accumulator sums in order while generate_fbm reduces pairwise inside
-    fixed blocks, so values agree to reduction-order rounding (1e-12).
+    The stream is consumed in the documented order: the parameter draw
+    first, then the step uniforms.
+    """
+    rng = np.random.Generator(np.random.PCG64(child))
+    if mode == "enriquez":
+        p, aux = 0.5, draw_persistence(rng, model)
+    else:
+        _, target, _ = _draw_target(rng, model, InfeasiblePolicy.RESAMPLE, sigma_max(model))
+        p = float(solve_p_batch(np.array([target]), model)[0])
+        if mode == "paper":
+            aux = float(persistence_from_p(p, model))
+        else:
+            aux = float(n_step_correlation(p, model, 1))
+    if mode == "paper":
+        gate, val = rng.random(n), rng.random(n)
+        levels = kernels.paper_levels(gate, val, p, aux)
+    elif mode == "matched":
+        levels = kernels.matched_levels(rng.random(n), p, aux)
+    else:
+        levels = kernels.enriquez_levels(rng.random(n), aux)
+    k = np.arange(1, n + 1)
+    return (levels - k * (2.0 * p - 1.0)) / np.sqrt(4.0 * p * (1.0 - p))
+
+
+def test_matches_standalone_trajectories(model_07):
+    """The aggregate equals trajectories rebuilt one by one and summed in order.
+
+    generate_fbm spawns child streams from the master seed and trajectory i
+    reads only child i.  The in-order sum here differs from generate_fbm's
+    pairwise block reduction only by rounding (1e-12).
     """
     n, m_paths = 47, 9
     for mode in ("paper", "matched", "enriquez"):
         children = np.random.SeedSequence(11).spawn(m_paths + 1)
-        acc = PathAccumulator(n)
-        cfg = WalkConfig(n_steps=n, model=model_07, mode=mode)
+        total = np.zeros(n)
         for i in range(m_paths):
-            acc.add(generate_trajectory(cfg, children[i]))
-        manual = acc.finalize(model_07)
+            total += _standalone_trajectory(model_07, mode, n, children[i])
+        manual = model_07.a_h * total / (n**model_07.h * math.sqrt(m_paths))
         auto = generate_fbm(model_07, n, m_paths, mode=mode, seed=11)
-        assert np.max(np.abs(manual.values - auto.values)) <= 1e-12, mode
+        assert auto.values[0] == 0.0
+        assert np.max(np.abs(manual - auto.values[1:])) <= 1e-12, mode
 
 
 def test_shared_p_mode(model_07):
@@ -121,7 +132,7 @@ def test_meta_records_run(model_07):
     assert meta["workers"] == 2
     assert meta["resample_total"] >= 0
     assert meta["throughput_steps_per_s"] > 0
-    assert meta["backend"] in ("numpy", "cython")
+    assert meta["backend"] == "numpy"
 
 
 def test_config_validation(model_07):
@@ -131,6 +142,9 @@ def test_config_validation(model_07):
         generate_fbm(model_07, 16, 0)
     with pytest.raises(ValueError):
         generate_fbm(model_07, 16, 4, mode="wavelet")
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            generate_fbm(model_07, 16, 4, workers=workers)
 
 
 # ---------------------------------------------------------------- statistics

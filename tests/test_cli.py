@@ -78,6 +78,8 @@ def test_generate_config_errors(tmp_path):
     assert run(["generate", "--hurst", 0.49, "--steps", 64, "--paths", 4, "--out", out]) == 2
     assert run(["generate", "--hurst", 0.7, "--steps", 1, "--paths", 4, "--out", out]) == 2
     assert run(["generate", "--hurst", 0.7, "--steps", 8192, "--mode", "gaussian-oracle", "--out", out]) == 2
+    for workers in (0, -3):
+        assert run(["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--workers", workers, "--out", out]) == 2
 
 
 def test_generate_infeasible_error_policy(tmp_path):
@@ -134,10 +136,11 @@ def test_estimate_short_file_is_numeric_error(tmp_path):
 
 def test_estimate_parse_error_with_line(tmp_path, capsys):
     f = tmp_path / "bad.csv"
-    f.write_text("t,value\n0,0.0\n1,not-a-number\n")
-    assert run(["estimate", "--input", f]) == 2
-    err = capsys.readouterr().err
-    assert "bad.csv:3" in err
+    for bad in ("not-a-number", "nan", "inf", "-inf"):
+        f.write_text(f"t,value\n0,0.0\n1,{bad}\n")
+        assert run(["estimate", "--input", f]) == 2, bad
+        err = capsys.readouterr().err
+        assert "bad.csv:3" in err, bad
 
 
 def test_estimate_missing_file(tmp_path):
@@ -176,6 +179,15 @@ def test_validate_json_format(capsys):
 
 def test_validate_config_error():
     assert run(["validate", "--hurst", 0.49, "--seed", 1]) == 2
+
+
+def test_validate_spread_refuse_oracle_mode(capsys):
+    # the oracle has no walk to validate; argparse rejects the choice (exit 2)
+    for command in ("validate", "spread"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--hurst", 0.7, "--mode", "gaussian-oracle"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_spread_report(tmp_path):

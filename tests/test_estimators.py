@@ -124,7 +124,7 @@ def test_acf_white_noise_bounds():
 
 def test_acf_persistent_walk_law():
     # fixed persistence 0.75: increments correlate as (2 rho - 1)^n = 0.5^n
-    from fbmwalk._backend import kernels
+    import fbmwalk._kernels as kernels
 
     rng = np.random.default_rng(18)
     reps = 20

@@ -1,17 +1,12 @@
-"""Kernel lanes must agree bit for bit, and both must match a plain scalar
-re-implementation of each recursion."""
+"""The vectorised kernels must match a plain scalar re-implementation of each
+recursion."""
 
 import numpy as np
 import pytest
 
 import fbmwalk._kernels as numpy_kernels
 
-try:
-    import fbmwalk._kernels_cy as cython_kernels
-except ImportError:
-    cython_kernels = None
-
-LANES = [numpy_kernels] + ([cython_kernels] if cython_kernels is not None else [])
+LANES = [numpy_kernels]  # one lane; parametrising keeps it named in the test ids
 
 
 def scalar_paper(gate, val, p, rho):
@@ -86,29 +81,6 @@ def test_enriquez_matches_scalar_reference(lane):
         assert np.array_equal(lane.enriquez_levels(u, rho), scalar_enriquez(u, rho))
 
 
-@pytest.mark.skipif(cython_kernels is None, reason="compiled extension not built")
-def test_lanes_bit_identical():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        n = int(rng.integers(1, 2000))
-        gate, val, u = rng.random(n), rng.random(n), rng.random(n)
-        p = float(rng.uniform(1e-6, 0.5))
-        rho = float(rng.uniform(0.5, 1.0 - 1e-9))
-        s1 = float(rng.uniform(0.0, 0.5))
-        assert np.array_equal(
-            numpy_kernels.paper_levels(gate, val, p, rho),
-            cython_kernels.paper_levels(gate, val, p, rho),
-        )
-        assert np.array_equal(
-            numpy_kernels.matched_levels(u, p, s1),
-            cython_kernels.matched_levels(u, p, s1),
-        )
-        assert np.array_equal(
-            numpy_kernels.enriquez_levels(u, rho),
-            cython_kernels.enriquez_levels(u, rho),
-        )
-
-
 @pytest.mark.parametrize("lane", LANES, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 def test_levels_are_valid_walks(lane):
     rng = np.random.default_rng(4)
@@ -120,18 +92,3 @@ def test_levels_are_valid_walks(lane):
     ):
         steps = np.diff(levels, prepend=np.int64(0))
         assert set(np.unique(steps)) <= {-1, 1}
-
-
-def test_backend_env_override():
-    import subprocess
-    import sys
-
-    code = "import fbmwalk; print(fbmwalk.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"FBMWALK_BACKEND": "numpy", "PYTHONPATH": "src"},
-        cwd=".",
-    )
-    assert out.stdout.strip() == "numpy"

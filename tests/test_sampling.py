@@ -9,18 +9,30 @@ from fbmwalk import (
     density_p,
     feasibility_threshold,
     n_step_correlation,
-    sample_p,
+    persistence_from_p,
     sigma_max,
-    solve_p,
     target_from_uniform,
 )
 from fbmwalk.sampling import (
     P_FLOOR,
     InfeasibleTargetError,
     InfeasibleUniformError,
+    PSample,
+    _draw_target,
     feasible_mass,
     solve_p_batch,
 )
+
+
+def solve_one(target: float, model) -> float:
+    return float(solve_p_batch(np.array([target]), model)[0])
+
+
+def draw_p(rng, model, policy=InfeasiblePolicy.RESAMPLE) -> PSample:
+    """One marginal draw as generate_fbm makes it: target draw, then batch solve."""
+    u, target, count = _draw_target(rng, model, policy, sigma_max(model))
+    p = solve_one(target, model)
+    return PSample(u=u, target=target, p=p, rho=float(persistence_from_p(p, model)), resampled_count=count)
 
 # ---------------------------------------------------------------- target map
 
@@ -60,16 +72,16 @@ def test_feasibility_threshold_07(model_07):
     assert u_max == pytest.approx(1.0 - (1.0 - 0.207064) ** 0.6, abs=1e-4)
 
 
-# ---------------------------------------------------------------- solve_p
+# ---------------------------------------------------------------- solve
 
 
 def test_solve_at_sigma_max_returns_half(model_07, model_055, model_085):
     for m in (model_07, model_055, model_085):
-        assert solve_p(sigma_max(m), m) == pytest.approx(0.5, abs=1e-8)
+        assert solve_one(sigma_max(m), m) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_solve_at_zero_returns_floor(model_07):
-    p = solve_p(0.0, model_07)
+    p = solve_one(0.0, model_07)
     assert p <= P_FLOOR * (1.0 + 1e-12)
     # the floor is degenerate: the residual correlation there is small but
     # not arbitrarily small (phi decays slowly in p), ~3.6e-5 at H=0.7
@@ -78,7 +90,7 @@ def test_solve_at_zero_returns_floor(model_07):
 
 def test_solve_regression_value(model_07):
     target = target_from_uniform(0.05, model_07)
-    p = solve_p(target, model_07)
+    p = solve_one(target, model_07)
     assert p == pytest.approx(0.02732615399869065, abs=1e-10)
     assert float(n_step_correlation(p, model_07, 1)) == pytest.approx(target, abs=1e-10)
 
@@ -102,30 +114,31 @@ def test_solve_monotone_in_target(model_07):
 
 def test_solve_infeasible_target_raises(model_07):
     with pytest.raises(InfeasibleTargetError):
-        solve_p(sigma_max(model_07) + 1e-6, model_07)
+        solve_one(sigma_max(model_07) + 1e-6, model_07)
 
 
 def test_scalar_solve_matches_batch(model_07):
+    # each target is solved independently of the others in its batch
     targets = np.array([0.01, 0.05, 0.1, 0.2])
     batch = solve_p_batch(targets, model_07)
     for t, pb in zip(targets, batch):
-        assert solve_p(float(t), model_07) == pb
+        assert solve_one(float(t), model_07) == pb
 
 
-# ---------------------------------------------------------------- sample_p
+# ---------------------------------------------------------------- draw
 
 
 def test_sample_deterministic(model_07):
-    a = sample_p(np.random.default_rng(42), model_07)
-    b = sample_p(np.random.default_rng(42), model_07)
+    a = draw_p(np.random.default_rng(42), model_07)
+    b = draw_p(np.random.default_rng(42), model_07)
     assert a == b
 
 
 def test_sample_resample_counts_deterministic(model_07):
     rng = np.random.default_rng(7)
-    counts = [sample_p(rng, model_07).resampled_count for _ in range(200)]
+    counts = [draw_p(rng, model_07).resampled_count for _ in range(200)]
     rng = np.random.default_rng(7)
-    counts2 = [sample_p(rng, model_07).resampled_count for _ in range(200)]
+    counts2 = [draw_p(rng, model_07).resampled_count for _ in range(200)]
     assert counts == counts2
     assert sum(counts) > 0  # u_max ~ 0.13, so rejections must occur
 
@@ -135,7 +148,7 @@ def test_sample_clamp_policy(model_07):
     for seed in range(100):
         u = float(np.random.default_rng(seed).random())
         if u > feasibility_threshold(model_07):
-            s = sample_p(np.random.default_rng(seed), model_07, InfeasiblePolicy.CLAMP)
+            s = draw_p(np.random.default_rng(seed), model_07, InfeasiblePolicy.CLAMP)
             assert s.p == pytest.approx(0.5, abs=1e-8)
             assert s.u == u
             return
@@ -147,7 +160,7 @@ def test_sample_error_policy(model_07):
         u = float(np.random.default_rng(seed).random())
         if u > feasibility_threshold(model_07):
             with pytest.raises(InfeasibleUniformError):
-                sample_p(np.random.default_rng(seed), model_07, InfeasiblePolicy.ERROR)
+                draw_p(np.random.default_rng(seed), model_07, InfeasiblePolicy.ERROR)
             return
     pytest.fail("no infeasible first draw among 100 seeds")
 
@@ -155,7 +168,7 @@ def test_sample_error_policy(model_07):
 def test_sample_invariants(model_07):
     rng = np.random.default_rng(3)
     for _ in range(100):
-        s = sample_p(rng, model_07)
+        s = draw_p(rng, model_07)
         assert 0.0 < s.p <= 0.5
         assert abs(float(n_step_correlation(s.p, model_07, 1)) - s.target) <= 1e-9 or s.p == P_FLOOR
         assert 0.5 < s.rho < 1.0
@@ -198,7 +211,7 @@ def test_sampled_p_distribution_matches_truncated_law(model_07):
 
     Under resampling, accepted u is uniform on (0, u_max), so the CDF of p is
     F(sigma1(p)) / u_max with F(s) = 1 - (1-s)^(2-2H).  Draws use the batch
-    solver (the identical code path sample_p takes).
+    solver (the identical code path generate_fbm takes).
     """
     m = model_07
     rng = np.random.default_rng(99)

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import fbmwalk._kernels as kernels
 from fbmwalk import (
     HurstModel,
     InfeasiblePolicy,
-    WalkConfig,
     chain_lag_correlation,
-    generate_trajectory,
+    generate_fbm,
     n_step_correlation,
     persistence_from_p,
 )
+from fbmwalk.aggregate import _walk_levels
 from fbmwalk.sampling import InfeasibleUniformError
-from fbmwalk.walk import draw_persistence, next_increment
+from fbmwalk.walk import draw_persistence
 
 from conftest import replicate_se
 
@@ -37,81 +38,67 @@ def chain_corr_enumeration(p: float, rho: float) -> float:
     return (e_xy - p * p) / var
 
 
-# ---------------------------------------------------------------- next_increment
+# ---------------------------------------------------------------- paper kernel
 
 
-def test_next_increment_pure_persistence():
-    for prev in (0, 1):
-        for seed in range(20):
-            assert next_increment(prev, 0.3, 1.0, np.random.default_rng(seed)) == prev
-
-
-def test_next_increment_no_persistence_is_bernoulli():
-    # with rho=0 the result equals the refresh draw, i.e. the second uniform
+def test_paper_kernel_pure_persistence():
+    # rho = 1 never renews, so every step repeats the first one
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        rng.random()  # the gate the recursion consumes first
-        expected = 1 if rng.random() < 0.4 else 0
-        assert next_increment(0, 0.4, 0.0, np.random.default_rng(seed)) == expected
+        steps = np.diff(kernels.paper_levels(rng.random(64), rng.random(64), 0.3, 1.0), prepend=0)
+        assert np.all(steps == steps[0])
 
 
-def test_next_increment_marginal(model_07):
+def test_paper_kernel_marginal(model_07):
     p, rho = 0.3, 0.6035176001781586
-    reps = 24
-    means = []
+    reps, n = 24, 40_000
     rng = np.random.default_rng(8)
+    means = []
     for _ in range(reps):
-        bit = 1 if rng.random() < p else 0
-        total = 0
-        n = 40_000
-        for _ in range(n):
-            bit = next_increment(bit, p, rho, rng)
-            total += bit
-        means.append(total / n)
+        inc = np.diff(kernels.paper_levels(rng.random(n), rng.random(n), p, rho), prepend=0)
+        means.append(float(np.mean(inc == 1)))
     se = replicate_se(means)
     assert abs(np.mean(means) - p) <= 3 * se
-
-
-def test_next_increment_rejects_bad_state():
-    with pytest.raises(ValueError):
-        next_increment(2, 0.3, 0.5, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- generation
 
 
-def test_single_step_trajectory(model_07):
-    cfg = WalkConfig(n_steps=1, model=model_07)
-    t = generate_trajectory(cfg, 5)
-    assert t.levels.shape == (1,)
-    assert t.levels[0] in (-1, 1)
+def test_single_step_trajectory():
+    # N = 1: each kernel returns the single first step, +-1
+    for mode, aux in (("paper", 0.7), ("matched", 0.2), ("enriquez", 0.75)):
+        levels = _walk_levels(np.random.default_rng(5), mode, 1, 0.3, aux)
+        assert levels.shape == (1,)
+        assert levels[0] in (-1, 1)
 
 
 def test_trajectory_determinism(model_07):
     for mode in ("paper", "matched", "enriquez"):
-        cfg = WalkConfig(n_steps=512, model=model_07, mode=mode)
-        a = generate_trajectory(cfg, 123)
-        b = generate_trajectory(cfg, 123)
-        assert np.array_equal(a.levels, b.levels)
-        assert a.psample == b.psample
-        assert a.persistence == b.persistence
+        a = generate_fbm(model_07, 512, 1, mode=mode, seed=123)
+        b = generate_fbm(model_07, 512, 1, mode=mode, seed=123)
+        assert np.array_equal(a.values, b.values)
+        assert a.meta["resample_total"] == b.meta["resample_total"]
 
 
 def test_trajectory_parity_invariant(model_07):
+    p = 0.3
+    aux = {
+        "paper": float(persistence_from_p(p, model_07)),
+        "matched": float(n_step_correlation(p, model_07, 1)),
+        "enriquez": 0.75,
+    }
     for mode in ("paper", "matched", "enriquez"):
-        cfg = WalkConfig(n_steps=257, model=model_07, mode=mode)
-        t = generate_trajectory(cfg, 9)
+        levels = _walk_levels(np.random.default_rng(9), mode, 257, p, aux[mode])
         k = np.arange(1, 258)
-        assert np.all((t.levels - k) % 2 == 0)
-        assert set(np.unique(t.increments)) <= {-1, 1}
+        assert np.all((levels - k) % 2 == 0)
+        assert set(np.unique(np.diff(levels, prepend=0))) <= {-1, 1}
 
 
 def test_trajectory_error_policy_propagates(model_07):
-    cfg = WalkConfig(n_steps=8, model=model_07, policy=InfeasiblePolicy.ERROR)
     raised = False
     for seed in range(50):
         try:
-            generate_trajectory(cfg, seed)
+            generate_fbm(model_07, 8, 1, policy=InfeasiblePolicy.ERROR, seed=seed)
         except InfeasibleUniformError:
             raised = True
             break
@@ -141,11 +128,15 @@ def test_enriquez_near_half_density_flattens():
 
 
 def test_enriquez_trajectory_carries_persistence(model_07):
-    cfg = WalkConfig(n_steps=16, model=model_07, mode="enriquez")
-    t = generate_trajectory(cfg, 3)
-    assert t.psample is None
-    assert 0.5 <= t.persistence <= 1.0
-    assert t.p == 0.5
+    # an enriquez trajectory draws its persistence first, then walks at p = 1/2,
+    # where standardisation is the identity: one path is a_H X_k / N^H
+    n = 16
+    rng = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[0])
+    rho = draw_persistence(rng, model_07)
+    assert 0.5 <= rho <= 1.0
+    levels = kernels.enriquez_levels(rng.random(n), rho)
+    path = generate_fbm(model_07, n, 1, mode="enriquez", seed=3)
+    assert np.array_equal(path.values[1:], model_07.a_h * levels / n**model_07.h)
 
 
 # ---------------------------------------------------------------- chain lag law
@@ -188,7 +179,6 @@ def test_empirical_lag_law_per_mode(model_07):
     law it is nominally built to achieve; the matched mode follows the
     phi-coefficient law by construction.
     """
-    from fbmwalk._backend import kernels
     from fbmwalk.estimators import empirical_acf
 
     p = 0.3
@@ -225,8 +215,6 @@ def test_empirical_lag_law_per_mode(model_07):
 
 
 def test_stationary_marginal_all_modes(model_07):
-    from fbmwalk._backend import kernels
-
     p = 0.3
     rho = float(persistence_from_p(p, model_07))
     s1 = float(n_step_correlation(p, model_07, 1))
@@ -242,10 +230,3 @@ def test_stationary_marginal_all_modes(model_07):
             props.append(float(np.mean(inc == 1)))
         se = replicate_se(props)
         assert abs(np.mean(props) - p) <= 4 * se
-
-
-def test_walkconfig_validation(model_07):
-    with pytest.raises(ValueError):
-        WalkConfig(n_steps=0, model=model_07)
-    with pytest.raises(ValueError):
-        WalkConfig(n_steps=4, model=model_07, mode="bogus")
