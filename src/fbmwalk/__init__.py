@@ -23,8 +23,6 @@ from .fgn import (
 )
 from .gaussian import cholesky_fbm, dichotomized_gaussian_walk
 from .link import (
-    LinkPoint,
-    feasible_p_range,
     n_step_correlation,
     persistence_from_p,
     phi_from_tetrachoric,
@@ -37,7 +35,7 @@ from .sampling import (
     feasibility_threshold,
     target_from_uniform,
 )
-from .special import bvn_cdf, ln_gamma, std_normal_cdf, std_normal_quantile
+from .special import bvn_cdf_excess_diag, ln_gamma, std_normal_cdf, std_normal_quantile
 from .walk import Trajectory, chain_lag_correlation
 
 __version__ = "0.1.0"
@@ -60,8 +58,6 @@ __all__ = [
     "theoretical_mixture_correlation",
     "cholesky_fbm",
     "dichotomized_gaussian_walk",
-    "LinkPoint",
-    "feasible_p_range",
     "n_step_correlation",
     "persistence_from_p",
     "phi_from_tetrachoric",
@@ -71,7 +67,7 @@ __all__ = [
     "density_p",
     "feasibility_threshold",
     "target_from_uniform",
-    "bvn_cdf",
+    "bvn_cdf_excess_diag",
     "ln_gamma",
     "std_normal_cdf",
     "std_normal_quantile",

@@ -23,9 +23,13 @@ from .link import n_step_correlation, persistence_from_p, sigma_max
 from .sampling import InfeasiblePolicy, _draw_target, solve_p_batch
 from .walk import draw_persistence
 
-__all__ = ["AggregatedPath", "BACKEND", "generate_fbm"]
+__all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm"]
 
 BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
+# Version of the output stream, recorded in every sidecar: raised whenever the
+# bytes fixed by (config, seed) change on purpose.  2: one bivariate route at
+# every correlation (bytes moved only where delta1 >= 0.925, i.e. H >= 0.9725).
+STREAM_VERSION = 2
 _BLOCK = 64  # trajectories per reduction block; fixed so results never depend on workers
 
 
@@ -155,6 +159,7 @@ def generate_fbm(
         "shared_p": shared_p,
         "workers": workers,
         "backend": BACKEND,
+        "stream_version": STREAM_VERSION,
         "resample_total": resample_total,
         "resample_max": resample_max,
         "elapsed_s": elapsed,

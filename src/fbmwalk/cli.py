@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .aggregate import BACKEND, generate_fbm
+from .aggregate import BACKEND, STREAM_VERSION, generate_fbm
 from .estimators import (
     DegeneratePathError,
     InsufficientLengthError,
@@ -79,6 +79,8 @@ def _read_path_csv(path: str) -> np.ndarray:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     model = HurstModel(args.hurst)
+    if args.paths < 1 or args.workers < 1:
+        return _fail("config", "--paths and --workers must be >= 1", EXIT_CONFIG)
     t0 = time.perf_counter()
     if args.mode == "gaussian-oracle":
         if args.steps > MAX_DENSE_N:
@@ -87,7 +89,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
             )
         values = cholesky_fbm(model, args.steps, args.seed)
         times = np.arange(args.steps + 1, dtype=np.float64) / args.steps
-        meta = {"mode": args.mode, "seed": args.seed, "backend": BACKEND}
+        meta = {
+            "mode": args.mode,
+            "seed": args.seed,
+            "backend": BACKEND,
+            "stream_version": STREAM_VERSION,
+        }
     else:
         path = generate_fbm(
             model,
@@ -208,17 +215,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--paths", type=int, default=paths_default, help="trajectories M to aggregate")
         p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
         p.add_argument("--mode", choices=modes, default="paper")
+
+    def run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--infeasible",
             choices=[p.value for p in InfeasiblePolicy],
             default="resample",
             help="policy for uniforms whose target exceeds sigma_max",
         )
-        p.add_argument("--shared-p", action="store_true", help="one marginal draw shared by all trajectories")
         p.add_argument("--workers", type=int, default=1, help="worker threads (never changes output bytes)")
 
     g = sub.add_parser("generate", help="generate a path and write CSV/JSON plus metadata sidecar")
     common(g, paths_default=1024, modes=(*_WALK_MODES, "gaussian-oracle"))
+    run_options(g)
+    g.add_argument("--shared-p", action="store_true", help="one marginal draw shared by all trajectories")
     g.add_argument("--out", required=True, help="output file")
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--raw-levels", action="store_true", help="emit integer step index instead of t=k/N")
@@ -238,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spread", help="Hurst-estimate spread over replicate runs")
     common(s, paths_default=1024)
+    run_options(s)
     s.add_argument("--replicates", type=int, default=30)
     s.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     s.set_defaults(fn=cmd_spread)

@@ -3,26 +3,22 @@
 Thresholding a correlated standard-normal pair at the p-quantile produces a
 correlated binary pair; this module maps the latent (tetrachoric) correlation
 to the binary (phi) correlation, derives the walk persistence, the n-step
-correlation of the binary increments, and the p-range on which those laws are
-usable for sampling.
+correlation of the binary increments and its maximum ``sigma_max``.  Every
+law goes through one bivariate quantity, the diagonal excess
+``Phi2(z(p), z(p), delta) - p^2``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fgn import HurstModel
-from .special import bvn_cdf, bvn_cdf_excess_diag, std_normal_quantile_vec
+from .special import bvn_cdf_excess_diag, std_normal_quantile
 
 __all__ = [
-    "LinkPoint",
     "phi_from_tetrachoric",
     "persistence_from_p",
     "n_step_correlation",
-    "feasible_p_range",
     "sigma_max",
 ]
 
@@ -32,17 +28,13 @@ def _phi2_excess(p, delta: float):
 
     Scalars run through the same vector code path so that batch and one-off
     evaluations agree bit for bit (the walk kernels compare uniforms against
-    these values, where a one-ulp difference would flip steps).
+    these values, where a one-ulp difference would flip steps).  Raises
+    ValueError unless -1 < delta < 1 and every p lies in (0, 1).
     """
+    if not -1.0 < delta < 1.0:
+        raise ValueError(f"tetrachoric correlation must satisfy |delta| < 1, got {delta}")
     scalar = np.ndim(p) == 0
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ValueError("p must be in (0, 1)")
-    z = std_normal_quantile_vec(p)
-    if abs(delta) < 0.925:
-        out = bvn_cdf_excess_diag(z, p, delta)
-    else:
-        out = np.array([bvn_cdf(zi, zi, delta) - pi * pi for zi, pi in zip(z, p)])
+    out = bvn_cdf_excess_diag(std_normal_quantile(np.atleast_1d(p)), delta)
     return float(out[0]) if scalar else out
 
 
@@ -52,8 +44,6 @@ def phi_from_tetrachoric(p, delta: float):
     ``(Phi2(z(p), z(p), delta) - p^2) / (p (1 - p))``; zero at delta = 0,
     attenuated toward zero as p leaves 1/2.  Accepts scalar or array p.
     """
-    if not -1.0 < delta < 1.0:
-        raise ValueError(f"tetrachoric correlation must satisfy |delta| < 1, got {delta}")
     excess = _phi2_excess(p, delta)
     p = np.asarray(p, dtype=np.float64) if np.ndim(p) else p
     return excess / (p * (1.0 - p))
@@ -61,8 +51,6 @@ def phi_from_tetrachoric(p, delta: float):
 
 def persistence_from_tetrachoric(p, delta: float):
     """Persistence 2*Phi2(z(p), z(p), delta) - 2p + 1 of the binary walk."""
-    if not -1.0 < delta < 1.0:
-        raise ValueError(f"tetrachoric correlation must satisfy |delta| < 1, got {delta}")
     excess = _phi2_excess(p, delta)
     p = np.asarray(p, dtype=np.float64) if np.ndim(p) else p
     return 2.0 * excess + 2.0 * p * p - 2.0 * p + 1.0
@@ -96,82 +84,7 @@ def n_step_correlation(p, model: HurstModel, n: int):
     return n_step_correlation_from_delta(p, model.delta1, n)
 
 
-@dataclass(frozen=True)
-class LinkPoint:
-    """One marginal probability with its derived walk laws."""
-
-    p: float
-    rho: float
-    sigma1: float
-
-    @classmethod
-    def at(cls, p: float, model: HurstModel) -> "LinkPoint":
-        return cls(
-            p=p,
-            rho=float(persistence_from_p(p, model)),
-            sigma1=float(n_step_correlation(p, model, 1)),
-        )
-
-
 def sigma_max(model: HurstModel) -> float:
     """Largest attainable lag-1 phi coefficient, (2/pi) asin(delta1) at p = 1/2."""
     return float(n_step_correlation(0.5, model, 1))
 
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float, iters: int = 80):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def feasible_p_range(model: HurstModel, n: int = 1, grid: int = 4001) -> tuple[float, float, float]:
-    """Maximal p-interval with 0 <= n-step correlation <= 1, plus its maximum.
-
-    Scans a grid over (0, 1), keeps the widest contiguous feasible segment and
-    refines the location of the maximum by golden-section search.  For n = 1
-    and 1/2 < H < 1 the correlation is nonnegative everywhere, so the result
-    is the full open interval with the maximum at p = 1/2.
-    """
-    ps = np.linspace(0.0, 1.0, grid + 2)[1:-1]
-    vals = np.asarray(n_step_correlation(ps, model, n))
-    ok = (vals >= 0.0) & (vals <= 1.0)
-    if not np.any(ok):
-        raise ValueError(f"no feasible p for n={n}, H={model.h}")
-
-    # widest contiguous run of feasible grid points
-    best_start = best_len = 0
-    start = None
-    for i, flag in enumerate(np.append(ok, False)):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start > best_len:
-                best_start, best_len = start, i - start
-            start = None
-    seg = slice(best_start, best_start + best_len)
-
-    p_lo = 0.0 if best_start == 0 else float(ps[best_start])
-    p_hi = 1.0 if best_start + best_len == len(ps) else float(ps[best_start + best_len - 1])
-
-    k = best_start + int(np.argmax(vals[seg]))
-    lo = ps[max(k - 1, 0)]
-    hi = ps[min(k + 1, len(ps) - 1)]
-    p_star, v_star = _golden_max(lambda p: float(n_step_correlation(p, model, n)), lo, hi)
-    # the maximum itself must be the attained value, never a golden-section undershoot
-    v_star = max(v_star, float(np.max(vals[seg])))
-    return p_lo, p_hi, float(v_star)

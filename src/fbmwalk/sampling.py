@@ -27,7 +27,6 @@ __all__ = [
     "feasibility_threshold",
     "solve_p_batch",
     "density_p",
-    "feasible_mass",
 ]
 
 P_FLOOR = 1e-8
@@ -80,7 +79,12 @@ def target_from_uniform(u: float, model: HurstModel) -> float:
 
 
 def feasibility_threshold(model: HurstModel) -> float:
-    """Largest solvable uniform, u_max = 1 - (1 - sigma_max)^(2-2H)."""
+    """Largest solvable uniform, u_max = 1 - (1 - sigma_max)^(2-2H).
+
+    This is also the probability mass the nominal density places on the
+    solvable branch (< 1): the density does not integrate to one over any
+    p-branch, which is why resampling renormalises.
+    """
     return -float(np.expm1((2.0 - 2.0 * model.h) * np.log1p(-sigma_max(model))))
 
 
@@ -150,15 +154,6 @@ def _draw_target(
         if policy == InfeasiblePolicy.CLAMP:
             return u, s_max, count
         raise InfeasibleUniformError(u, s_max)
-
-
-def feasible_mass(model: HurstModel) -> float:
-    """Probability mass the density places on the solvable branch.
-
-    Equals ``1 - (1 - sigma_max)^(2-2H)`` (< 1): the nominal density does not
-    integrate to one over any p-branch, which is why resampling renormalises.
-    """
-    return feasibility_threshold(model)
 
 
 def density_p(p, model: HurstModel):

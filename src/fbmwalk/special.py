@@ -1,10 +1,11 @@
-"""Scalar special functions: normal CDF/quantile, bivariate normal CDF, log-Gamma.
+"""Special functions: normal CDF/quantile, diagonal bivariate-normal excess, log-Gamma.
 
 All routines are pure double-precision evaluations with no external
 dependencies.  Tail behaviour matters here: downstream root-finding divides
 bivariate probabilities by ``4*p*(1-p)`` with ``p`` approaching zero, so the
 normal CDF is evaluated through ``erfc`` (never ``1 - Phi(large)``) and the
-bivariate routine keeps all terms positive in the joint tail.
+bivariate routine returns only the excess ``Phi2(z, z, r) - Phi(z)^2``, a
+sum of positive terms for r > 0, never a difference of near-equal numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
-    "bvn_cdf",
+    "bvn_cdf_excess_diag",
     "ln_gamma",
 ]
 
@@ -92,39 +93,23 @@ _PPND_F = (
 )
 
 
-def _poly(coeffs, x: float) -> float:
-    acc = 0.0
+def _horner(coeffs, r: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(r)
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * r + c
     return acc
 
 
-def std_normal_quantile(p: float) -> float:
+def std_normal_quantile(p):
     """Inverse standard normal CDF (Wichura's AS 241, double precision).
 
-    Raises ValueError outside the open interval (0, 1).
+    Accepts a scalar (returns a float) or an array; scalars run through the
+    same array code so both give the same bits.  Raises ValueError unless
+    every argument lies in the open interval (0, 1).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        value = _poly(_PPND_C, r) / _poly(_PPND_D, r)
-    else:
-        r -= 5.0
-        value = _poly(_PPND_E, r) / _poly(_PPND_F, r)
-    return -value if q < 0.0 else value
-
-
-def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
-    """Vectorised AS 241 quantile for arrays with entries in (0, 1)."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    scalar = np.ndim(p) == 0
+    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("quantile arguments must be in (0, 1)")
     q = p - 0.5
     out = np.empty_like(p)
@@ -132,13 +117,7 @@ def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
     central = np.abs(q) <= 0.425
     if np.any(central):
         r = 0.180625 - q[central] ** 2
-        num = np.zeros_like(r)
-        den = np.zeros_like(r)
-        for c in reversed(_PPND_A):
-            num = num * r + c
-        for c in reversed(_PPND_B):
-            den = den * r + c
-        out[central] = q[central] * num / den
+        out[central] = q[central] * _horner(_PPND_A, r) / _horner(_PPND_B, r)
 
     tail = ~central
     if np.any(tail):
@@ -149,22 +128,15 @@ def std_normal_quantile_vec(p: np.ndarray) -> np.ndarray:
         near = r <= 5.0
         val = np.empty_like(r)
         for sel, cn, cd, shift in ((near, _PPND_C, _PPND_D, 1.6), (~near, _PPND_E, _PPND_F, 5.0)):
-            if not np.any(sel):
-                continue
-            rs = r[sel] - shift
-            num = np.zeros_like(rs)
-            den = np.zeros_like(rs)
-            for c in reversed(cn):
-                num = num * rs + c
-            for c in reversed(cd):
-                den = den * rs + c
-            val[sel] = num / den
+            if np.any(sel):
+                rs = r[sel] - shift
+                val[sel] = _horner(cn, rs) / _horner(cd, rs)
         out[tail] = np.where(qt < 0.0, -val, val)
-    return out
+    return float(out[0]) if scalar else out
 
 
-# Gauss-Legendre abscissae/weights used by the Drezner-Wesolowsky/Genz
-# bivariate normal algorithm (6-, 12- and 20-point rules on [-1, 1]).
+# Gauss-Legendre abscissae/weights for the Drezner-Wesolowsky integral
+# (6-, 12- and 20-point rules on [-1, 1], chosen by |r|).
 _GL6_W = (0.1713244923791705, 0.3607615730481384, 0.4679139345726904)
 _GL6_X = (0.9324695142031522, 0.6612093864662647, 0.2386191860831970)
 _GL12_W = (
@@ -198,84 +170,22 @@ def _gl_rule(r: float):
     return _GL20_W, _GL20_X
 
 
-def _bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for standard bivariate normal with correlation r.
+def bvn_cdf_excess_diag(z, r: float):
+    """Phi2(z, z, r) - Phi(z)**2 on the diagonal, computed without cancellation.
 
-    Port of the Drezner & Wesolowsky (1989) method with Genz's double
-    precision modifications for |r| near 1; absolute error below 5e-16.
-    """
-    w, x = _gl_rule(r)
-    h = dh
-    k = dk
-    hk = h * k
-    bvn = 0.0
-    if abs(r) < 0.925:
-        if abs(r) > 0.0:
-            hs = (h * h + k * k) / 2.0
-            asr = math.asin(r)
-            for i in range(len(w)):
-                for sign in (-1.0, 1.0):
-                    sn = math.sin(asr * (sign * x[i] + 1.0) / 2.0)
-                    bvn += w[i] * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-            bvn = bvn * asr / (2.0 * _TWOPI)
-        bvn += std_normal_cdf(-h) * std_normal_cdf(-k)
-        return max(0.0, min(1.0, bvn))
-
-    if r < 0.0:
-        k = -k
-        hk = -hk
-    if abs(r) < 1.0:
-        ass = (1.0 - r) * (1.0 + r)
-        a = math.sqrt(ass)
-        bs = (h - k) ** 2
-        c = (4.0 - hk) / 8.0
-        d = (12.0 - hk) / 16.0
-        asr = -(bs / ass + hk) / 2.0
-        if asr > -100.0:
-            bvn = a * math.exp(asr) * (1.0 - c * (bs - ass) * (1.0 - d * bs / 5.0) / 3.0 + c * d * ass * ass / 5.0)
-        if -hk < 100.0:
-            b = math.sqrt(bs)
-            sp = math.sqrt(_TWOPI) * std_normal_cdf(-b / a)
-            bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-        a /= 2.0
-        for i in range(len(w)):
-            for sign in (-1.0, 1.0):
-                xs = (a * (sign * x[i] + 1.0)) ** 2
-                rs = math.sqrt(1.0 - xs)
-                asr = -(bs / xs + hk) / 2.0
-                if asr > -100.0:
-                    sp = 1.0 + c * xs * (1.0 + d * xs)
-                    ep = math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                    bvn += a * w[i] * math.exp(asr) * (ep - sp)
-        bvn = -bvn / _TWOPI
-    if r > 0.0:
-        bvn += std_normal_cdf(-max(h, k))
-    else:
-        bvn = -bvn
-        if k > h:
-            bvn += std_normal_cdf(k) - std_normal_cdf(h)
-    return max(0.0, min(1.0, bvn))
-
-
-def bvn_cdf(h: float, k: float, r: float) -> float:
-    """P(Z1 <= h, Z2 <= k), standard bivariate normal, correlation r in (-1, 1)."""
-    if not -1.0 < r < 1.0:
-        raise ValueError(f"correlation must satisfy |r| < 1, got {r}")
-    if math.isnan(h) or math.isnan(k):
-        raise ValueError("bvn_cdf arguments must not be NaN")
-    return _bvn_upper(-h, -k, r)
-
-
-def bvn_cdf_excess_diag(z, p, r: float):
-    """Phi2(z, z, r) - p**2 for p = Phi(z), computed without cancellation.
-
-    Uses the Drezner single-integral identity
+    Uses the Drezner-Wesolowsky single-integral identity
     ``Phi2(z, z, r) = Phi(z)^2 + (1/2pi) int_0^{asin r} exp(-z^2/(1+sin t)) dt``
+    (the derivative of Phi2 in r is the bivariate density, and r = sin t),
     so the excess over the independent case is the quadrature term alone.
-    Valid for |r| < 0.925; accepts scalars or numpy arrays for ``z``/``p``.
+    ``z`` is a scalar or a numpy array; ``r`` lies in (-1, 1), which the
+    caller checks.  Against 40-digit quadrature at p = Phi(z) from 1e-8 to
+    1/2 the excess is within 2e-15 relative for 0 < r <= 0.997.  As r -> -1
+    the integrand peaks sharply at the upper end and the fixed rule loses
+    accuracy: the phi-coefficient error (excess / (p (1-p))) is below 5e-16
+    down to r = -0.925, then 2e-14 at -0.95, 7e-10 at -0.99 and 6e-7 at
+    -0.999.  No fGn lag correlation is negative for 1/2 < H < 1, so the walk
+    laws never evaluate r < 0.
     """
-    if not abs(r) < 0.925:
-        raise ValueError("bvn_cdf_excess_diag requires |r| < 0.925")
     z = np.asarray(z, dtype=np.float64)
     if r == 0.0:
         return np.zeros_like(z) if z.shape else 0.0
@@ -283,10 +193,10 @@ def bvn_cdf_excess_diag(z, p, r: float):
     asr = math.asin(r)
     z2 = z * z
     acc = np.zeros_like(z2)
-    for i in range(len(w)):
+    for wi, xi in zip(w, x):
         for sign in (-1.0, 1.0):
-            sn = math.sin(asr * (sign * x[i] + 1.0) / 2.0)
-            acc += w[i] * np.exp(-z2 / (1.0 + sn))
+            sn = math.sin(asr * (sign * xi + 1.0) / 2.0)
+            acc += wi * np.exp(-z2 / (1.0 + sn))
     out = acc * asr / (2.0 * _TWOPI)
     return out if z.shape else float(out)
 

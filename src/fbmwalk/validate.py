@@ -24,7 +24,6 @@ from .sampling import (
     InfeasiblePolicy,
     density_p,
     feasibility_threshold,
-    feasible_mass,
     solve_p_batch,
     target_from_uniform,
 )
@@ -167,7 +166,7 @@ def _check_aggregate_acf(
 
 
 def _check_density_mass(model: HurstModel) -> Check:
-    deficit = feasible_mass(model)
+    u_max = feasibility_threshold(model)  # the mass of the solvable branch
     lo, hi = 1e-5, 0.5 - 1e-6
     # log-spaced panel through the steep small-p region, linear panel beyond
     xs = np.concatenate([np.geomspace(lo, 1e-2, 4000), np.linspace(1e-2, hi, 8000)[1:]])
@@ -177,12 +176,12 @@ def _check_density_mass(model: HurstModel) -> Check:
     total = quad + tail
     return Check(
         name="density_mass_deficit",
-        passed=abs(total - deficit) < 1e-4,
+        passed=abs(total - u_max) < 1e-4,
         hard=True,
         details={
-            "feasible_mass": deficit,
+            "u_max": u_max,
             "quadrature_mass": total,
-            "infeasible_mass": 1.0 - deficit,
+            "deficit": 1.0 - u_max,
         },
     )
 

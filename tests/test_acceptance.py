@@ -24,7 +24,7 @@ from scipy import integrate
 
 from fbmwalk import (
     HurstModel,
-    bvn_cdf,
+    bvn_cdf_excess_diag,
     dsod_hurst,
     generate_fbm,
     n_step_correlation,
@@ -158,7 +158,8 @@ def test_criterion_3_mixture_closed_form_vs_quadrature():
 def test_criterion_4_special_functions():
     rs = np.random.default_rng(4).uniform(-0.99, 0.99, 1000)
     worst_bvn = max(
-        abs(bvn_cdf(0.0, 0.0, float(r)) - (0.25 + math.asin(r) / (2.0 * math.pi))) for r in rs
+        abs(0.25 + bvn_cdf_excess_diag(0.0, float(r)) - (0.25 + math.asin(r) / (2.0 * math.pi)))
+        for r in rs
     )
     # round trip at 1e-10: the upper tail beyond x ~ 5 is exercised through its
     # mirror image because cdf values there round onto 1 at ulp precision

@@ -133,6 +133,7 @@ def test_meta_records_run(model_07):
     assert meta["resample_total"] >= 0
     assert meta["throughput_steps_per_s"] > 0
     assert meta["backend"] == "numpy"
+    assert meta["stream_version"] == 2
 
 
 def test_config_validation(model_07):

@@ -28,6 +28,7 @@ def test_generate_csv_schema(tmp_path):
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
     assert meta["infeasible"] == "resample"
+    assert meta["stream_version"] == 2
     assert "resample_total" in meta and "wall_time_s" in meta
 
 
@@ -56,6 +57,8 @@ def test_generate_gaussian_oracle_schema(tmp_path):
     assert lines[0] == "t,value"
     assert lines[1] == "0,0.0"
     assert len(lines) == 514
+    meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
+    assert meta["stream_version"] == 2
 
 
 def test_generate_json_format(tmp_path):
@@ -78,8 +81,12 @@ def test_generate_config_errors(tmp_path):
     assert run(["generate", "--hurst", 0.49, "--steps", 64, "--paths", 4, "--out", out]) == 2
     assert run(["generate", "--hurst", 0.7, "--steps", 1, "--paths", 4, "--out", out]) == 2
     assert run(["generate", "--hurst", 0.7, "--steps", 8192, "--mode", "gaussian-oracle", "--out", out]) == 2
-    for workers in (0, -3):
-        assert run(["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--workers", workers, "--out", out]) == 2
+    for mode in ("paper", "gaussian-oracle"):
+        for workers in (0, -3):
+            argv = ["--mode", mode, "--paths", 4, "--workers", workers]
+            assert run(["generate", "--hurst", 0.7, "--steps", 64, *argv, "--out", out]) == 2
+        assert run(["generate", "--hurst", 0.7, "--steps", 64, "--mode", mode, "--paths", 0, "--out", out]) == 2
+    assert not out.exists()
 
 
 def test_generate_infeasible_error_policy(tmp_path):
@@ -188,6 +195,18 @@ def test_validate_spread_refuse_oracle_mode(capsys):
             run([command, "--hurst", 0.7, "--mode", "gaussian-oracle"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+    # options a command would ignore are not offered at all
+    ignored = [
+        ("validate", "--workers", -3),
+        ("validate", "--shared-p"),
+        ("validate", "--infeasible", "error"),
+        ("spread", "--shared-p"),
+    ]
+    for command, *option in ignored:
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--hurst", 0.7, *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_spread_report(tmp_path):

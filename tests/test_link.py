@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from fbmwalk import HurstModel, feasible_p_range, n_step_correlation, persistence_from_p, phi_from_tetrachoric, sigma_max
-from fbmwalk.link import LinkPoint, n_step_correlation_from_delta, persistence_from_tetrachoric
+from fbmwalk import HurstModel, n_step_correlation, persistence_from_p, phi_from_tetrachoric, sigma_max
+from fbmwalk.link import n_step_correlation_from_delta, persistence_from_tetrachoric
 
 
 def phi_quadrature(p: float, delta: float) -> float:
@@ -66,6 +66,13 @@ def test_phi_domain():
         phi_from_tetrachoric(0.0, 0.3)
     with pytest.raises(ValueError):
         phi_from_tetrachoric(0.5, 1.0)
+    # every law derived from the tetrachoric shares its domain check
+    for delta in (-1.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            persistence_from_tetrachoric(0.3, delta)
+        for n in (1, 2):
+            with pytest.raises(ValueError):
+                n_step_correlation_from_delta(0.3, delta, n)
 
 
 # ---------------------------------------------------------------- persistence
@@ -150,25 +157,38 @@ def test_n_step_rejects_bad_lag(model_07):
 
 # ---------------------------------------------------------------- feasible range
 
+# sigma1 is a correlation on the whole open interval for n = 1, so the
+# feasible p-range is (0, 1); its maximum sigma_max sits at p = 1/2.
+
+
+def grid_max(model, n: int, grid: int = 4001) -> float:
+    ps = np.linspace(0.0, 1.0, grid + 2)[1:-1]
+    return float(np.max(n_step_correlation(ps, model, n)))
+
 
 def test_feasible_range_07(model_07):
-    p_lo, p_hi, s_max = feasible_p_range(model_07, 1)
-    assert p_lo == 0.0 and p_hi == 1.0
+    ps = np.linspace(0.0, 1.0, 4003)[1:-1]
+    vals = np.asarray(n_step_correlation(ps, model_07, 1))
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    s_max = sigma_max(model_07)
     assert s_max == pytest.approx(2.0 / math.pi * math.asin(model_07.delta1), abs=1e-10)
     assert s_max == pytest.approx(0.20703520035631712, abs=1e-10)
+    assert grid_max(model_07, 1) == pytest.approx(s_max, abs=1e-10)
 
 
 def test_feasible_range_085(model_085):
-    _, _, s_max = feasible_p_range(model_085, 1)
+    s_max = sigma_max(model_085)
     assert s_max == pytest.approx(2.0 / math.pi * math.asin(model_085.delta1), abs=1e-10)
     assert s_max == pytest.approx(0.42939833088354085, abs=1e-10)
+    assert grid_max(model_085, 1) == pytest.approx(s_max, abs=1e-10)
 
 
 def test_sigma_max_attained_at_median(model_07, model_055, model_085):
     for m in (model_07, model_055, model_085):
-        _, _, s_max = feasible_p_range(m, 1)
+        s_max = sigma_max(m)
         assert s_max == pytest.approx(float(n_step_correlation(0.5, m, 1)), abs=1e-12)
-        assert sigma_max(m) == pytest.approx(s_max, abs=1e-12)
+        assert grid_max(m, 1) <= s_max
+        assert grid_max(m, 1) == pytest.approx(s_max, abs=1e-10)
 
 
 def test_feasible_range_nonnegative_everywhere(model_07):
@@ -178,21 +198,15 @@ def test_feasible_range_nonnegative_everywhere(model_07):
 
 
 def test_feasible_range_n2_is_subinterval(model_07):
-    # lag-2 law dips negative away from the median in the weak-dependence case
+    # lag-2 law dips negative away from the median in the weak-dependence
+    # case, so its feasible set is a proper subinterval around p = 1/2
     m = HurstModel(0.51)
-    p_lo, p_hi, s_max = feasible_p_range(m, 2)
-    assert 0.0 < p_lo < p_hi < 1.0
-    assert 0.0 <= s_max <= 1.0
-    for p in (p_lo + 1e-3, 0.5, p_hi - 1e-3):
-        v = float(n_step_correlation(p, m, 2))
-        assert -1e-9 <= v <= 1.0
-
-
-# ---------------------------------------------------------------- LinkPoint
-
-
-def test_linkpoint_consistency(model_07):
-    lp = LinkPoint.at(0.3, model_07)
-    assert lp.sigma1 == pytest.approx(
-        (2 * lp.rho - 1 - (2 * lp.p - 1) ** 2) / (4 * lp.p * (1 - lp.p)), abs=1e-12
-    )
+    ps = np.linspace(0.0, 1.0, 4003)[1:-1]
+    vals = np.asarray(n_step_correlation(ps, m, 2))
+    assert vals[0] < 0.0 and vals[-1] < 0.0
+    ok = np.flatnonzero(vals >= 0.0)
+    assert 0 < ok[0] and ok[-1] < len(ps) - 1
+    assert np.all(vals[ok[0] : ok[-1] + 1] >= 0.0)  # one contiguous run
+    at_median = float(n_step_correlation(0.5, m, 2))
+    assert 0.0 <= at_median <= 1.0
+    assert grid_max(m, 2) == pytest.approx(at_median, abs=1e-10)

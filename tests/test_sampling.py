@@ -19,7 +19,6 @@ from fbmwalk.sampling import (
     InfeasibleUniformError,
     PSample,
     _draw_target,
-    feasible_mass,
     solve_p_batch,
 )
 
@@ -182,7 +181,7 @@ def test_density_nonnegative_on_branch(model_07):
         assert density_p(float(p), model_07) >= 0.0
 
 
-def test_density_integrates_to_feasible_mass(model_07, model_085):
+def test_density_integrates_to_feasibility_threshold(model_07, model_085):
     # quadrature over the branch + closed-form mass below the cut equals
     # 1 - (1 - sigma_max)^(2-2H)
     for m in (model_07, model_085):
@@ -191,12 +190,12 @@ def test_density_integrates_to_feasible_mass(model_07, model_085):
             lambda p: density_p(p, m), eps, 0.5 - 1e-9, epsabs=1e-10, limit=400
         )
         tail = 1.0 - (1.0 - float(n_step_correlation(eps, m, 1))) ** (2.0 - 2.0 * m.h)
-        assert val + tail == pytest.approx(feasible_mass(m), abs=1e-5)
+        assert val + tail == pytest.approx(feasibility_threshold(m), abs=1e-5)
 
 
 def test_density_mass_deficit_below_one(model_07, model_055, model_085):
     for m in (model_07, model_055, model_085):
-        assert 0.0 < feasible_mass(m) < 1.0
+        assert 0.0 < feasibility_threshold(m) < 1.0
 
 
 def test_density_domain(model_07):

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
+from fbmwalk.link import _phi2_excess
 from fbmwalk.special import (
-    bvn_cdf,
     bvn_cdf_excess_diag,
     ln_gamma,
     std_normal_cdf,
     std_normal_quantile,
-    std_normal_quantile_vec,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -111,9 +110,11 @@ def test_quantile_antisymmetry():
 
 
 def test_quantile_domain():
-    for bad in (0.0, 1.0, -0.3, 1.7):
+    for bad in (0.0, 1.0, -0.3, 1.7, float("nan")):
         with pytest.raises(ValueError):
             std_normal_quantile(bad)
+        with pytest.raises(ValueError):
+            std_normal_quantile(np.array([0.5, bad]))
 
 
 def test_roundtrip_cdf_quantile():
@@ -133,10 +134,12 @@ def test_roundtrip_quantile_cdf():
 
 
 def test_quantile_vec_matches_scalar():
+    # an array call and one scalar call per entry give the same bits
     ps = np.random.default_rng(5).uniform(1e-12, 1 - 1e-12, 3000)
-    vec = std_normal_quantile_vec(ps)
-    scl = np.array([std_normal_quantile(p) for p in ps])
-    assert np.array_equal(vec, scl)
+    vec = std_normal_quantile(ps)
+    scl = [std_normal_quantile(float(p)) for p in ps]
+    assert all(type(v) is float for v in scl)
+    assert np.array_equal(vec, np.array(scl))
 
 
 @given(st.floats(1e-9, 1 - 1e-9), st.floats(1e-9, 1 - 1e-9))
@@ -149,100 +152,111 @@ def test_quantile_strictly_increasing(a, b):
 # ---------------------------------------------------------------- bivariate cdf
 
 
+def bvn_diag(z, r: float) -> float:
+    """Phi2(z, z, r) through the one bivariate route the library has."""
+    return std_normal_cdf(z) ** 2 + bvn_cdf_excess_diag(z, r)
+
+
 def test_bvn_independence_factorises():
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        h, k = rng.uniform(-4, 4, 2)
-        assert bvn_cdf(h, k, 0.0) == pytest.approx(
-            std_normal_cdf(h) * std_normal_cdf(k), abs=1e-14
-        )
+    zs = rng.uniform(-4, 4, 50)
+    assert np.array_equal(bvn_cdf_excess_diag(zs, 0.0), np.zeros(50))
+    for z in zs:
+        assert bvn_cdf_excess_diag(float(z), 0.0) == 0.0
+        assert bvn_diag(float(z), 0.0) == pytest.approx(std_normal_cdf(z) * std_normal_cdf(z), abs=1e-14)
 
 
 def test_bvn_median_closed_form():
-    assert bvn_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-15)
+    assert bvn_diag(0.0, 0.0) == pytest.approx(0.25, abs=1e-15)
     # quadrant probability 1/4 + asin(r)/(2 pi)
     for r in (-0.9, -0.31, 0.1, 0.319508, 0.77, 0.99):
-        assert bvn_cdf(0.0, 0.0, r) == pytest.approx(
-            0.25 + math.asin(r) / (2 * math.pi), abs=1e-12
-        )
-    assert bvn_cdf(0.0, 0.0, 0.319508) == pytest.approx(0.30175881507555125, abs=1e-9)
+        assert bvn_diag(0.0, r) == pytest.approx(0.25 + math.asin(r) / (2 * math.pi), abs=1e-12)
+    assert bvn_diag(0.0, 0.319508) == pytest.approx(0.30175881507555125, abs=1e-9)
 
 
 def test_bvn_against_conditional_quadrature():
     rng = np.random.default_rng(3)
     for _ in range(250):
-        h, k = rng.uniform(-4.5, 4.5, 2)
+        z = rng.uniform(-4.5, 4.5)
         r = rng.uniform(-0.99, 0.99)
-        assert bvn_cdf(h, k, r) == pytest.approx(bvn_conditional_quad(h, k, r), abs=1e-8)
+        assert bvn_diag(z, r) == pytest.approx(bvn_conditional_quad(z, z, r), abs=1e-8)
+    # the high correlations of H near 1 (delta1 >= 0.925 once H >= 0.9725),
+    # and one negative correlation past -0.925, at 1e-13
+    for r in (0.93, 0.97, 0.99, 0.999, -0.95):
+        for z in (-5.0, -3.2, -1.0, -0.2, 0.0, 0.7, 2.5):
+            assert bvn_diag(z, r) == pytest.approx(bvn_conditional_quad(z, z, r), abs=1e-13)
 
 
 def test_bvn_against_density_dblquad():
     rng = np.random.default_rng(4)
     for _ in range(12):
-        h, k = rng.uniform(-3, 3, 2)
+        z = rng.uniform(-3, 3)
         r = rng.uniform(-0.95, 0.95)
-        assert bvn_cdf(h, k, r) == pytest.approx(bvn_density_dblquad(h, k, r), abs=1e-8)
-
-
-def test_bvn_symmetric_in_arguments():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        h, k = rng.uniform(-5, 5, 2)
-        r = rng.uniform(-0.99, 0.99)
-        assert bvn_cdf(h, k, r) == pytest.approx(bvn_cdf(k, h, r), abs=1e-14)
+        assert bvn_diag(z, r) == pytest.approx(bvn_density_dblquad(z, z, r), abs=1e-8)
 
 
 def test_bvn_monotone_in_each_argument():
     rng = np.random.default_rng(6)
     for _ in range(100):
-        h, k = rng.uniform(-4, 4, 2)
+        z = rng.uniform(-4, 4)
         r = rng.uniform(-0.9, 0.9)
-        assert bvn_cdf(h, k, r) <= bvn_cdf(h + 0.3, k, r) + 1e-15
-        assert bvn_cdf(h, k, r) <= bvn_cdf(h, k + 0.3, r) + 1e-15
-    # diagonal monotone in r
-    for r in np.linspace(-0.9, 0.85, 30):
-        assert bvn_cdf(0.7, 0.7, r) <= bvn_cdf(0.7, 0.7, r + 0.05) + 1e-15
+        assert bvn_diag(z, r) <= bvn_diag(z + 0.3, r) + 1e-15
+    # diagonal monotone in r, across the whole open interval
+    for r in np.linspace(-0.9, 0.94, 30):
+        assert bvn_diag(0.7, r) <= bvn_diag(0.7, r + 0.05) + 1e-15
 
 
 def test_bvn_survival_identity():
-    # P(Z1>h, Z2>k) = Phi2(-h,-k,r) = 1 - Phi(h) - Phi(k) + Phi2(h,k,r)
+    # P(Z1>z, Z2>z) = Phi2(-z,-z,r) = 1 - 2 Phi(z) + Phi2(z,z,r)
     rng = np.random.default_rng(7)
     for _ in range(40):
-        h, k = rng.uniform(-3, 3, 2)
+        z = rng.uniform(-3, 3)
         r = rng.uniform(-0.9, 0.9)
-        upper = bvn_cdf(-h, -k, r)
-        identity = 1.0 - std_normal_cdf(h) - std_normal_cdf(k) + bvn_cdf(h, k, r)
-        assert upper == pytest.approx(identity, abs=1e-10)
+        identity = 1.0 - 2.0 * std_normal_cdf(z) + bvn_diag(z, r)
+        assert bvn_diag(-z, r) == pytest.approx(identity, abs=1e-10)
     # equal-margin form used by the persistence derivation:
     # P(Z1>z, Z2>z) = Phi2(z,z,delta) - 2p + 1
     for p in (0.01, 0.2, 0.5, 0.9):
         z = std_normal_quantile(p)
-        for delta in (0.0718, 0.3195, 0.6245):
-            assert bvn_cdf(-z, -z, delta) == pytest.approx(
-                bvn_cdf(z, z, delta) - 2.0 * p + 1.0, abs=1e-10
-            )
+        for delta in (0.0718, 0.3195, 0.6245, 0.9453):
+            assert bvn_diag(-z, delta) == pytest.approx(bvn_diag(z, delta) - 2.0 * p + 1.0, abs=1e-10)
 
 
 def test_bvn_domain():
-    for r in (-1.0, 1.0, 1.5):
+    # the one correlation-domain check sits where the link layer calls the route
+    for r in (-1.0, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            bvn_cdf(0.0, 0.0, r)
+            _phi2_excess(0.5, r)
 
 
 def test_bvn_deep_tail_positive():
     # p near 0 probes the joint lower tail; values must stay positive and tiny
-    v = bvn_cdf(-5.6, -5.6, 0.319508)
+    v = bvn_diag(-5.6, 0.319508)
     assert 0.0 < v < 1e-9
+    assert bvn_cdf_excess_diag(-5.6, 0.319508) > 0.0
 
 
 def test_bvn_excess_diag_matches_direct():
+    # excess against adaptive quadrature of the same single integral
     rng = np.random.default_rng(8)
-    for r in (0.05, 0.32, 0.62, 0.9):
+    for r in (0.05, 0.32, 0.62, 0.9, 0.93, 0.97, 0.99, 0.999):
         p = rng.uniform(1e-6, 1 - 1e-6, 50)
-        z = std_normal_quantile_vec(p)
-        exc = bvn_cdf_excess_diag(z, p, r)
-        direct = np.array([bvn_cdf(zi, zi, r) - pi * pi for zi, pi in zip(z, p)])
-        assert np.max(np.abs(exc - direct)) < 1e-13
+        z = std_normal_quantile(p)
+        exc = bvn_cdf_excess_diag(z, r)
+        direct = np.array(
+            [
+                integrate.quad(
+                    lambda t, zi=zi: math.exp(-zi * zi / (1.0 + math.sin(t))),
+                    0.0,
+                    math.asin(r),
+                    epsabs=0.0,
+                    epsrel=2e-14,
+                )[0]
+                / (2.0 * math.pi)
+                for zi in z
+            ]
+        )
+        assert np.max(np.abs(exc - direct) / direct) < 1e-13
         assert np.all(exc >= 0.0)
 
 
