@@ -19,9 +19,9 @@ import numpy as np
 
 from . import _kernels as kernels
 from .fgn import HurstModel
-from .link import n_step_correlation, persistence_from_p, sigma_max
+from .link import sigma_max
 from .sampling import InfeasiblePolicy, _draw_target, solve_p_batch
-from .walk import draw_persistence
+from .walk import draw_persistence, renewal_keep
 
 __all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm"]
 
@@ -29,7 +29,9 @@ BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 # Version of the output stream, recorded in every sidecar: raised whenever the
 # bytes fixed by (config, seed) change on purpose.  2: one bivariate route at
 # every correlation (bytes moved only where delta1 >= 0.925, i.e. H >= 0.9725).
-STREAM_VERSION = 2
+# 3: one renewal kernel reading one uniform per step, and one 20-point
+# quadrature rule (every walk mode moved; the oracle did not).
+STREAM_VERSION = 3
 _BLOCK = 64  # trajectories per reduction block; fixed so results never depend on workers
 
 
@@ -52,17 +54,9 @@ def standardized_levels(levels: np.ndarray, p: float, karr: np.ndarray) -> np.nd
     return (levels - karr * mean_step) / scale
 
 
-def _walk_levels(rng: np.random.Generator, mode: str, n: int, p: float, aux: float) -> np.ndarray:
-    """Draw the step uniforms from the trajectory's own stream and walk them."""
-    if mode == "paper":
-        gate = rng.random(n)
-        val = rng.random(n)
-        return kernels.paper_levels(gate, val, p, aux)
-    if mode == "matched":
-        u = rng.random(n)
-        return kernels.matched_levels(u, p, aux)
-    u = rng.random(n)
-    return kernels.enriquez_levels(u, aux)
+def _walk_levels(rng: np.random.Generator, n: int, p: float, keep: float) -> np.ndarray:
+    """Draw n step uniforms from the trajectory's own stream and walk them."""
+    return kernels.renewal_levels(rng.random(n), p, keep)
 
 
 def _pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
@@ -110,11 +104,12 @@ def generate_fbm(
     # parameter-draw phase (consumes each trajectory's stream first)
     resample_total = 0
     resample_max = 0
+    persistence = None
     if mode == "enriquez":
         if shared_p:
-            aux = np.full(n_paths, draw_persistence(shared_rng, model))
+            persistence = np.full(n_paths, draw_persistence(shared_rng, model))
         else:
-            aux = np.array([draw_persistence(r, model) for r in rngs])
+            persistence = np.array([draw_persistence(r, model) for r in rngs])
         ps = np.full(n_paths, 0.5)
     else:
         s_max = sigma_max(model)
@@ -129,15 +124,12 @@ def generate_fbm(
         resample_total = int(sum(counts))
         resample_max = int(max(counts))
         ps = solve_p_batch(targets, model)
-        if mode == "paper":
-            aux = np.asarray(persistence_from_p(ps, model))
-        else:
-            aux = np.asarray(n_step_correlation(ps, model, 1))  # sigma1(p)
+    keeps = np.asarray(renewal_keep(mode, ps, model, persistence))
 
     karr = np.arange(1, n_steps + 1, dtype=np.float64)
 
     def task(i: int) -> np.ndarray:
-        levels = _walk_levels(rngs[i], mode, n_steps, float(ps[i]), float(aux[i]))
+        levels = _walk_levels(rngs[i], n_steps, float(ps[i]), float(keeps[i]))
         return standardized_levels(levels, float(ps[i]), karr)
 
     total = np.zeros(n_steps, dtype=np.float64)

@@ -87,6 +87,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             return _fail(
                 "config", f"gaussian-oracle supports steps <= {MAX_DENSE_N}", EXIT_CONFIG
             )
+        if args.shared_p:
+            return _fail("config", "--shared-p needs a walk mode", EXIT_CONFIG)
         values = cholesky_fbm(model, args.steps, args.seed)
         times = np.arange(args.steps + 1, dtype=np.float64) / args.steps
         meta = {
@@ -108,7 +110,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         )
         values = path.values
         times = path.times
-        meta = dict(path.meta)
+        meta = dict(path.meta, paths=args.paths, infeasible=args.infeasible)
     if args.raw_levels:
         times = np.arange(len(values), dtype=np.float64)
     meta.update(
@@ -116,9 +118,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "command": "generate",
             "hurst": args.hurst,
             "steps": args.steps,
-            "paths": args.paths,
-            "infeasible": args.infeasible,
-            "shared_p": bool(args.shared_p),
             "format": args.format,
             "raw_levels": bool(args.raw_levels),
             "out": args.out,
@@ -155,6 +154,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     model = HurstModel(args.hurst)
+    if args.runs < 2:
+        return _fail("config", "--runs must be >= 2", EXIT_CONFIG)
     checks = run_validation(
         model,
         seed=args.seed,
@@ -181,6 +182,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_spread(args: argparse.Namespace) -> int:
     model = HurstModel(args.hurst)
+    if args.replicates < 1:
+        return _fail("config", "--replicates must be >= 1", EXIT_CONFIG)
     doc = replicate_spread(
         model,
         n_steps=args.steps,

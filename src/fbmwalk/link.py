@@ -27,7 +27,7 @@ def _phi2_excess(p, delta: float):
     """Phi2(z(p), z(p), delta) - p^2, scalar or vectorised over p.
 
     Scalars run through the same vector code path so that batch and one-off
-    evaluations agree bit for bit (the walk kernels compare uniforms against
+    evaluations agree bit for bit (the walk kernel compares uniforms against
     these values, where a one-ulp difference would flip steps).  Raises
     ValueError unless -1 < delta < 1 and every p lies in (0, 1).
     """

@@ -1,19 +1,23 @@
 """Single correlated +-1 trajectories.
 
-Three generation modes, all generated by ``aggregate.generate_fbm``:
+Every mode is one renewal chain (``_kernels.renewal_levels``): keep the
+previous bit with probability ``keep``, otherwise redraw it as Bernoulli(p).
+The three walk modes, all generated by ``aggregate.generate_fbm``, differ
+only in the pair (p, keep), which ``renewal_keep`` maps:
 
-* ``paper``    - the persistence-gated renewal recursion driven by rho(p);
-                 its exact lag-1 increment correlation is rho(p), not the
-                 phi coefficient sigma1(p) the link layer targets.
-* ``matched``  - a two-state chain built to hit lag-1 = sigma1(p) exactly
+* ``paper``    - (p, rho(p)): the persistence-gated recursion; its exact
+                 lag-1 increment correlation is rho(p), not the phi
+                 coefficient sigma1(p) the link layer targets.
+* ``matched``  - (p, sigma1(p)): hits lag-1 = sigma1(p) exactly
                  (lag-n = sigma1^n), with the same marginal p.
-* ``enriquez`` - the symmetric persistent walk with p = 1/2 and persistence
-                 drawn from the density (1-H) 2^(3-2H) (1-rho)^(1-2H) on
-                 [1/2, 1]; the provably convergent baseline.
+* ``enriquez`` - (1/2, 2 rho - 1): the symmetric persistent walk, which
+                 repeats its previous step with probability rho, drawn from
+                 the density (1-H) 2^(3-2H) (1-rho)^(1-2H) on [1/2, 1]; the
+                 provably convergent baseline.
 
 Each trajectory consumes uniforms from its own generator in a fixed order
-(parameter draws first, then the step arrays), so a (config, seed) pair is
-reproducible bit for bit.
+(parameter draws first, then one uniform per step), so a (config, seed) pair
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .fgn import HurstModel
 from .link import n_step_correlation, persistence_from_p
 from .sampling import PSample
 
-__all__ = ["Trajectory", "chain_lag_correlation", "draw_persistence"]
+__all__ = ["Trajectory", "chain_lag_correlation", "draw_persistence", "renewal_keep"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,25 @@ def draw_persistence(rng: np.random.Generator, model: HurstModel) -> float:
     return 1.0 - 0.5 * float(np.exp(np.log1p(-u) / (2.0 - 2.0 * model.h)))
 
 
+def renewal_keep(mode: str, p, model: HurstModel, persistence=None):
+    """Probability that the mode's renewal chain keeps its previous bit.
+
+    ``paper`` keeps with rho(p), ``matched`` with sigma1(p) and ``enriquez``
+    (p = 1/2) with 2 rho - 1 for the supplied persistence rho.  This is also
+    the chain's lag-1 increment correlation.  ``p`` and ``persistence`` are
+    scalars (a float is returned) or arrays.
+    """
+    if mode == "paper":
+        return persistence_from_p(p, model)
+    if mode == "matched":
+        return n_step_correlation(p, model, 1)
+    if mode == "enriquez":
+        if persistence is None:
+            raise ValueError("enriquez mode needs an explicit persistence")
+        return 2.0 * persistence - 1.0
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def chain_lag_correlation(
     mode: str,
     p: float,
@@ -57,20 +80,10 @@ def chain_lag_correlation(
 ) -> float:
     """Exact lag-n increment correlation of the stationary chain per mode.
 
-    ``paper`` decays as rho(p)^n (second eigenvalue of its transition
-    matrix), ``matched`` as sigma1(p)^n by construction, ``enriquez`` as
-    (2 rho - 1)^n for the supplied persistence.
+    A renewal chain decays as keep^n (the second eigenvalue of its transition
+    matrix is keep): rho(p)^n for ``paper``, sigma1(p)^n for ``matched`` and
+    (2 rho - 1)^n for ``enriquez`` at the supplied persistence.
     """
     if n < 0:
         raise ValueError("lag must be nonnegative")
-    if mode == "paper":
-        lam = float(persistence_from_p(p, model))
-    elif mode == "matched":
-        lam = float(n_step_correlation(p, model, 1))
-    elif mode == "enriquez":
-        if persistence is None:
-            raise ValueError("enriquez mode needs an explicit persistence")
-        lam = 2.0 * persistence - 1.0
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return lam**n
+    return float(renewal_keep(mode, p, model, persistence)) ** n

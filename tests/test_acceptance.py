@@ -245,8 +245,7 @@ def test_criterion_7_paper_chain_law():
     rng = np.random.default_rng(77)
     rows = []
     for _ in range(reps):
-        gate, val = rng.random(steps), rng.random(steps)
-        inc = np.diff(kernels.paper_levels(gate, val, p, rho), prepend=np.int64(0))
+        inc = np.diff(kernels.renewal_levels(rng.random(steps), p, rho), prepend=np.int64(0))
         rows.append(acf_known_mean(inc, 2.0 * p - 1.0, 5))
     rows = np.array(rows)
     mean = rows.mean(axis=0)

@@ -7,8 +7,6 @@ import fbmwalk._kernels as kernels
 from fbmwalk import (
     HurstModel,
     generate_fbm,
-    n_step_correlation,
-    persistence_from_p,
     scaling_constant,
     theoretical_mixture_correlation,
 )
@@ -17,7 +15,7 @@ from fbmwalk.estimators import empirical_acf
 from fbmwalk.link import sigma_max
 from fbmwalk.sampling import InfeasiblePolicy, _draw_target, solve_p_batch
 from fbmwalk.validate import jarque_bera
-from fbmwalk.walk import draw_persistence
+from fbmwalk.walk import draw_persistence, renewal_keep
 
 from conftest import acf_known_mean
 
@@ -74,25 +72,17 @@ def _standalone_trajectory(model, mode: str, n: int, child) -> np.ndarray:
     """Standardised levels of one trajectory, rebuilt from its child stream.
 
     The stream is consumed in the documented order: the parameter draw
-    first, then the step uniforms.
+    first, then exactly n step uniforms.
     """
     rng = np.random.Generator(np.random.PCG64(child))
+    persistence = None
     if mode == "enriquez":
-        p, aux = 0.5, draw_persistence(rng, model)
+        p, persistence = 0.5, draw_persistence(rng, model)
     else:
         _, target, _ = _draw_target(rng, model, InfeasiblePolicy.RESAMPLE, sigma_max(model))
         p = float(solve_p_batch(np.array([target]), model)[0])
-        if mode == "paper":
-            aux = float(persistence_from_p(p, model))
-        else:
-            aux = float(n_step_correlation(p, model, 1))
-    if mode == "paper":
-        gate, val = rng.random(n), rng.random(n)
-        levels = kernels.paper_levels(gate, val, p, aux)
-    elif mode == "matched":
-        levels = kernels.matched_levels(rng.random(n), p, aux)
-    else:
-        levels = kernels.enriquez_levels(rng.random(n), aux)
+    keep = float(renewal_keep(mode, p, model, persistence))
+    levels = kernels.renewal_levels(rng.random(n), p, keep)
     k = np.arange(1, n + 1)
     return (levels - k * (2.0 * p - 1.0)) / np.sqrt(4.0 * p * (1.0 - p))
 
@@ -133,7 +123,7 @@ def test_meta_records_run(model_07):
     assert meta["resample_total"] >= 0
     assert meta["throughput_steps_per_s"] > 0
     assert meta["backend"] == "numpy"
-    assert meta["stream_version"] == 2
+    assert meta["stream_version"] == 3
 
 
 def test_config_validation(model_07):
@@ -198,3 +188,25 @@ def test_aggregate_acf_paper_mode_reported_gap(model_07):
     mean = float(np.mean(rows))
     r1 = theoretical_mixture_correlation(1, 0.7)
     assert mean > r1 + 0.1  # the renewal chain is much more persistent
+
+
+def test_enriquez_endpoint_variance_closed_form():
+    # a_H^2 E[Var X_N] / N^(2H) against quadrature over the persistence law,
+    # with Var X_N = N + 2 sum_k (N-k) l^k at keep l = 2 rho - 1, and rho
+    # = 1 - w^(1/(2-2H)) / 2 for w uniform on [0, 1] (its inverse CDF)
+    from scipy import integrate
+
+    from fbmwalk.validate import _enriquez_endpoint_variance
+
+    for h in (0.55, 0.7, 0.9):
+        model = HurstModel(h)
+        for n in (64, 512):
+            k = np.arange(1, n)
+
+            def var_levels(w):
+                lam = 1.0 - w ** (1.0 / (2.0 - 2.0 * h))
+                return n + 2.0 * float(np.dot(n - k, lam**k))
+
+            ev, _ = integrate.quad(var_levels, 0.0, 1.0, limit=200)
+            expected = model.a_h**2 * ev / n ** (2 * h)
+            assert _enriquez_endpoint_variance(model, n) == pytest.approx(expected, rel=1e-8)

@@ -28,7 +28,7 @@ def test_generate_csv_schema(tmp_path):
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
     assert meta["infeasible"] == "resample"
-    assert meta["stream_version"] == 2
+    assert meta["stream_version"] == 3
     assert "resample_total" in meta and "wall_time_s" in meta
 
 
@@ -58,7 +58,20 @@ def test_generate_gaussian_oracle_schema(tmp_path):
     assert lines[1] == "0,0.0"
     assert len(lines) == 514
     meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-    assert meta["stream_version"] == 2
+    assert meta["stream_version"] == 3
+
+
+def test_generate_oracle_sidecar_omits_walk_options(tmp_path):
+    # the oracle aggregates no walks: its sidecar records no walk options, and
+    # --shared-p, which only a walk can honour, is refused
+    out = tmp_path / "g.csv"
+    argv = ["generate", "--hurst", 0.7, "--steps", 64, "--mode", "gaussian-oracle", "--out", out]
+    assert run([*argv, "--paths", 7, "--infeasible", "error"]) == 0
+    meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
+    assert not {"paths", "infeasible", "shared_p"} & set(meta)
+    out.unlink()
+    assert run([*argv, "--shared-p"]) == 2
+    assert not out.exists()
 
 
 def test_generate_json_format(tmp_path):
@@ -186,6 +199,18 @@ def test_validate_json_format(capsys):
 
 def test_validate_config_error():
     assert run(["validate", "--hurst", 0.49, "--seed", 1]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("validate", "--runs", 1), ("validate", "--runs", 0), ("spread", "--replicates", 0), ("spread", "--replicates", -2)],
+    ids=lambda a: " ".join(map(str, a)),
+)
+def test_refuse_bad_replicate_counts(argv, capsys):
+    # refused before any work: a normality check needs two runs, a spread one replicate
+    command, *option = argv
+    assert run([command, "--hurst", 0.7, "--steps", 64, "--paths", 4, *option]) == 2
+    assert "must be >=" in capsys.readouterr().err
 
 
 def test_validate_spread_refuse_oracle_mode(capsys):

@@ -131,7 +131,7 @@ def test_acf_persistent_walk_law():
     rows = []
     for _ in range(reps):
         u = rng.random(50_000)
-        inc = np.diff(kernels.enriquez_levels(u, 0.75), prepend=np.int64(0))
+        inc = np.diff(kernels.renewal_levels(u, 0.5, 0.5), prepend=np.int64(0))
         rows.append(empirical_acf(inc.astype(np.float64), 5))
     rows = np.array(rows)
     mean = rows.mean(axis=0)

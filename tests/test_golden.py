@@ -9,16 +9,19 @@ import hashlib
 
 import pytest
 
+from fbmwalk.aggregate import STREAM_VERSION
 from fbmwalk.cli import main
 
+# the stream version the digests below were taken at
+DIGEST_STREAM_VERSION = 3
 WALK_DIGESTS = {
-    "paper": "212303f8f74d4c7d5519917aa16b09506d4710bd34df32564f7579e95b02dfaa",
-    "matched": "4524cc6384ebe27088a3c46b36cce9589437c6692d2da25b760fbd6ad2e2127b",
-    "enriquez": "a608122bc50d732588ea1967b701c9021fa82663df3dc73256fd869b52c33879",
+    "paper": "e2eb8e1913daa00ea42fc4f425a8cff1f5ef4bd890b2738c1a29f65c1c348d07",
+    "matched": "028bb5c5233907defddc61954cdc5468b51f899e501d6516d190888354376ef8",
+    "enriquez": "e41b5d94f0818258cd2f92ed61f871942100ade86403a5405c40825ad1223883",
 }
 ORACLE_DIGEST = "db571975bb7b0d7f5fbe56bd81d432b436b72142f2bd815d7e60c79747a9a2d1"
 # H=0.98 puts delta1 above 0.925, the range stream version 2 changed
-PAPER_H098_DIGEST = "672056c1a1afdab6eb9b3a7d56c9ef5780b1ba7bd64b8c6799cacb661e983b3c"
+PAPER_H098_DIGEST = "6fa823106f5cc2043007401b79db9aa924f1bd76c9f47344890cad303ab98327"
 
 
 def _digest(tmp_path, argv, hurst: str = "0.7") -> str:
@@ -42,3 +45,8 @@ def test_gaussian_oracle_csv_bytes(tmp_path):
 def test_paper_high_hurst_csv_bytes(tmp_path, workers):
     argv = ["--steps", "257", "--paths", "37", "--mode", "paper", "--workers", str(workers)]
     assert _digest(tmp_path, argv, hurst="0.98") == PAPER_H098_DIGEST
+
+
+def test_digests_match_stream_version():
+    # a stream-version bump must come with digests taken at that version
+    assert STREAM_VERSION == DIGEST_STREAM_VERSION

@@ -14,7 +14,7 @@ from fbmwalk import (
 )
 from fbmwalk.aggregate import _walk_levels
 from fbmwalk.sampling import InfeasibleUniformError
-from fbmwalk.walk import draw_persistence
+from fbmwalk.walk import draw_persistence, renewal_keep
 
 from conftest import replicate_se
 
@@ -45,7 +45,7 @@ def test_paper_kernel_pure_persistence():
     # rho = 1 never renews, so every step repeats the first one
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        steps = np.diff(kernels.paper_levels(rng.random(64), rng.random(64), 0.3, 1.0), prepend=0)
+        steps = np.diff(kernels.renewal_levels(rng.random(64), 0.3, 1.0), prepend=0)
         assert np.all(steps == steps[0])
 
 
@@ -55,7 +55,7 @@ def test_paper_kernel_marginal(model_07):
     rng = np.random.default_rng(8)
     means = []
     for _ in range(reps):
-        inc = np.diff(kernels.paper_levels(rng.random(n), rng.random(n), p, rho), prepend=0)
+        inc = np.diff(kernels.renewal_levels(rng.random(n), p, rho), prepend=0)
         means.append(float(np.mean(inc == 1)))
     se = replicate_se(means)
     assert abs(np.mean(means) - p) <= 3 * se
@@ -65,9 +65,9 @@ def test_paper_kernel_marginal(model_07):
 
 
 def test_single_step_trajectory():
-    # N = 1: each kernel returns the single first step, +-1
-    for mode, aux in (("paper", 0.7), ("matched", 0.2), ("enriquez", 0.75)):
-        levels = _walk_levels(np.random.default_rng(5), mode, 1, 0.3, aux)
+    # N = 1: the kernel returns the single first step, +-1, at each mode's (p, keep)
+    for p, keep in ((0.3, 0.7), (0.3, 0.2), (0.5, 0.5)):
+        levels = _walk_levels(np.random.default_rng(5), 1, p, keep)
         assert levels.shape == (1,)
         assert levels[0] in (-1, 1)
 
@@ -81,14 +81,10 @@ def test_trajectory_determinism(model_07):
 
 
 def test_trajectory_parity_invariant(model_07):
-    p = 0.3
-    aux = {
-        "paper": float(persistence_from_p(p, model_07)),
-        "matched": float(n_step_correlation(p, model_07, 1)),
-        "enriquez": 0.75,
-    }
     for mode in ("paper", "matched", "enriquez"):
-        levels = _walk_levels(np.random.default_rng(9), mode, 257, p, aux[mode])
+        p = 0.5 if mode == "enriquez" else 0.3
+        keep = float(renewal_keep(mode, p, model_07, persistence=0.75))
+        levels = _walk_levels(np.random.default_rng(9), 257, p, keep)
         k = np.arange(1, 258)
         assert np.all((levels - k) % 2 == 0)
         assert set(np.unique(np.diff(levels, prepend=0))) <= {-1, 1}
@@ -134,7 +130,7 @@ def test_enriquez_trajectory_carries_persistence(model_07):
     rng = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[0])
     rho = draw_persistence(rng, model_07)
     assert 0.5 <= rho <= 1.0
-    levels = kernels.enriquez_levels(rng.random(n), rho)
+    levels = kernels.renewal_levels(rng.random(n), 0.5, 2.0 * rho - 1.0)
     path = generate_fbm(model_07, n, 1, mode="enriquez", seed=3)
     assert np.array_equal(path.values[1:], model_07.a_h * levels / n**model_07.h)
 
@@ -189,12 +185,12 @@ def test_empirical_lag_law_per_mode(model_07):
 
     acc = {"paper": [], "matched": [], "enriquez": []}
     for _ in range(reps):
-        gate, val, u = rng.random(steps), rng.random(steps), rng.random(steps)
-        inc = np.diff(kernels.paper_levels(gate, val, p, rho), prepend=np.int64(0))
+        u_paper, u = rng.random(steps), rng.random(steps)
+        inc = np.diff(kernels.renewal_levels(u_paper, p, rho), prepend=np.int64(0))
         acc["paper"].append(empirical_acf(inc.astype(np.float64), 5))
-        inc = np.diff(kernels.matched_levels(u, p, s1), prepend=np.int64(0))
+        inc = np.diff(kernels.renewal_levels(u, p, s1), prepend=np.int64(0))
         acc["matched"].append(empirical_acf(inc.astype(np.float64), 5))
-        inc = np.diff(kernels.enriquez_levels(u, 0.75), prepend=np.int64(0))
+        inc = np.diff(kernels.renewal_levels(u, 0.5, 0.5), prepend=np.int64(0))  # rho = 0.75
         acc["enriquez"].append(empirical_acf(inc.astype(np.float64), 5))
 
     laws = {
@@ -221,8 +217,8 @@ def test_stationary_marginal_all_modes(model_07):
     reps, steps = 16, 62_500
     rng = np.random.default_rng(31)
     for make in (
-        lambda: kernels.paper_levels(rng.random(steps), rng.random(steps), p, rho),
-        lambda: kernels.matched_levels(rng.random(steps), p, s1),
+        lambda: kernels.renewal_levels(rng.random(steps), p, rho),
+        lambda: kernels.renewal_levels(rng.random(steps), p, s1),
     ):
         props = []
         for _ in range(reps):
