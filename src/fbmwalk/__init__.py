@@ -5,7 +5,7 @@ modes, deterministic parallel aggregation, exact Cholesky oracles and Hurst
 estimators, behind one CLI (``fbmwalk generate|estimate|validate|spread``).
 """
 
-from .aggregate import BACKEND, AggregatedPath, generate_fbm
+from .aggregate import BACKEND, AggregatedPath, generate_fbm, renewal_keep
 from .estimators import (
     EstimateReport,
     aggregated_variance_hurst,
@@ -36,7 +36,7 @@ from .sampling import (
     target_from_uniform,
 )
 from .special import bvn_cdf_excess_diag, ln_gamma, std_normal_cdf, std_normal_quantile
-from .walk import Trajectory, chain_lag_correlation
+from .walk import Trajectory
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,7 @@ __all__ = [
     "__version__",
     "AggregatedPath",
     "generate_fbm",
+    "renewal_keep",
     "EstimateReport",
     "aggregated_variance_hurst",
     "dsod_hurst",
@@ -72,5 +73,4 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "Trajectory",
-    "chain_lag_correlation",
 ]

@@ -2,8 +2,9 @@
 
 Every walk mode is one renewal chain on a bit: keep the previous bit with
 probability ``keep``, otherwise redraw it as Bernoulli(p).  The modes differ
-only in the pair (p, keep), which ``walk.renewal_keep`` supplies.  The kernel
-reads one uniform per step, so the levels are fixed by the uniforms alone.
+only in the pair (p, keep), which ``aggregate.renewal_keep`` supplies.  The
+kernel reads one uniform per step, so the levels are fixed by the uniforms
+alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def renewal_levels(u: np.ndarray, p: float, keep: float) -> np.ndarray:
     renew[0] = True
     at = renew.nonzero()[0]
     change = np.where(up[at], 1, -1)  # the step each renewal sets ...
-    change[1:] -= change[:-1].copy()  # ... less the step it replaces
+    change[1:] -= change[:-1]  # ... less the one it replaces (overlap is buffered)
     levels = np.zeros(u.shape[0], dtype=np.int64)
     levels[at] = change
     np.cumsum(levels, out=levels)

@@ -19,11 +19,11 @@ import numpy as np
 
 from . import _kernels as kernels
 from .fgn import HurstModel
-from .link import sigma_max
+from .link import n_step_correlation, persistence_from_p, sigma_max
 from .sampling import InfeasiblePolicy, _draw_target, solve_p_batch
-from .walk import draw_persistence, renewal_keep
+from .walk import draw_persistence
 
-__all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm"]
+__all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm", "renewal_keep"]
 
 BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 # Version of the output stream, recorded in every sidecar: raised whenever the
@@ -52,6 +52,26 @@ def standardized_levels(levels: np.ndarray, p: float, karr: np.ndarray) -> np.nd
     mean_step = 2.0 * p - 1.0
     scale = np.sqrt(4.0 * p * (1.0 - p))
     return (levels - karr * mean_step) / scale
+
+
+def renewal_keep(mode: str, p, model: HurstModel, persistence=None):
+    """Probability that the mode's renewal chain keeps its previous bit.
+
+    ``paper`` keeps with rho(p), ``matched`` with sigma1(p) and ``enriquez``
+    (p = 1/2) with 2 rho - 1 for the supplied persistence rho.  A renewal
+    chain's lag-n increment correlation is keep^n (the second eigenvalue of
+    its transition matrix is keep).  ``p`` and ``persistence`` are scalars
+    (a float is returned) or arrays.
+    """
+    if mode == "paper":
+        return persistence_from_p(p, model)
+    if mode == "matched":
+        return n_step_correlation(p, model, 1)
+    if mode == "enriquez":
+        if persistence is None:
+            raise ValueError("enriquez mode needs an explicit persistence")
+        return 2.0 * persistence - 1.0
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _walk_levels(rng: np.random.Generator, n: int, p: float, keep: float) -> np.ndarray:

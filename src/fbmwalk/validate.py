@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kernels
-from .aggregate import generate_fbm
+from .aggregate import generate_fbm, renewal_keep
 from .estimators import estimate_report
 from .fgn import HurstModel, theoretical_mixture_correlation
 from .gaussian import dichotomized_gaussian_walk, fgn_cholesky_factor
@@ -27,7 +27,6 @@ from .sampling import (
     solve_p_batch,
     target_from_uniform,
 )
-from .walk import chain_lag_correlation, renewal_keep
 
 __all__ = ["Check", "run_validation", "jarque_bera", "replicate_spread"]
 
@@ -113,7 +112,7 @@ def _check_paper_chain_law(
         levels = kernels.renewal_levels(rng.random(steps), p, rho)
         walks.append(np.diff(levels, prepend=np.int64(0)).astype(np.float64))
     mean, se = _acf_with_se(walks, 2.0 * p - 1.0, 5)
-    lag_law = np.array([chain_lag_correlation("paper", p, model, n) for n in range(1, 6)])
+    lag_law = rho ** np.arange(1, 6)  # a renewal chain decays as keep^n
     prop2 = np.array([float(n_step_correlation(p, model, n)) for n in range(1, 6)])
     z = np.abs(mean - lag_law) / se
     return Check(
@@ -219,16 +218,23 @@ def _check_dichotomized_oracle(
 
 
 def _enriquez_endpoint_variance(model: HurstModel, n_steps: int) -> float:
-    """Exact variance of the enriquez aggregate's endpoint at n_steps.
+    """Endpoint variance of a correctly scaled enriquez aggregate at n_steps.
 
-    ``a_H^2 (N + 2 sum_k (N - k) r(k)) / N^(2H)`` over the mixture lag
-    correlations r(k).  It reaches Var B_H(1) = 1 only as N grows: 0.899 at
-    H = 0.7 and N = 512.
+    The walk sum S_N has Var S_N = N + 2 sum_k (N - k) r(k) over the mixture
+    lag correlations r(k) ~ Gamma(3-2H) k^(2H-2), so Var S_N grows like
+    L N^(2H) with L = Gamma(3-2H) / (H (2H-1)).  Scaled to reach
+    Var B_H(1) = 1 in the limit, the endpoint has variance
+    Var S_N / (L N^(2H)) at N: 0.899 at H = 0.7 and N = 512, 0.419 at
+    H = 0.55.  L is taken from the tail of r(k), not from ``model.a_h``, so a
+    wrong scaling constant in the aggregate still moves the measured variance
+    off this value.
     """
+    h = model.h
     lags = np.arange(1, n_steps)
-    r = np.array([theoretical_mixture_correlation(int(k), model.h) for k in lags])
-    var_levels = n_steps + 2.0 * float(np.dot(n_steps - lags, r))
-    return model.a_h**2 * var_levels / n_steps ** (2.0 * model.h)
+    r = np.array([theoretical_mixture_correlation(int(k), h) for k in lags])
+    var_sum = n_steps + 2.0 * float(np.dot(n_steps - lags, r))
+    growth = math.exp(math.lgamma(3.0 - 2.0 * h)) / (h * (2.0 * h - 1.0))
+    return var_sum / (growth * n_steps ** (2.0 * h))
 
 
 def _check_gaussianity(

@@ -3,7 +3,7 @@
 Every mode is one renewal chain (``_kernels.renewal_levels``): keep the
 previous bit with probability ``keep``, otherwise redraw it as Bernoulli(p).
 The three walk modes, all generated by ``aggregate.generate_fbm``, differ
-only in the pair (p, keep), which ``renewal_keep`` maps:
+only in the pair (p, keep), which ``aggregate.renewal_keep`` maps:
 
 * ``paper``    - (p, rho(p)): the persistence-gated recursion; its exact
                  lag-1 increment correlation is rho(p), not the phi
@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fgn import HurstModel
-from .link import n_step_correlation, persistence_from_p
 from .sampling import PSample
 
-__all__ = ["Trajectory", "chain_lag_correlation", "draw_persistence", "renewal_keep"]
+__all__ = ["Trajectory", "draw_persistence"]
 
 
 @dataclass(frozen=True)
@@ -50,40 +49,3 @@ def draw_persistence(rng: np.random.Generator, model: HurstModel) -> float:
     """Inverse-CDF draw of the persistence density on [1/2, 1]."""
     u = rng.random()
     return 1.0 - 0.5 * float(np.exp(np.log1p(-u) / (2.0 - 2.0 * model.h)))
-
-
-def renewal_keep(mode: str, p, model: HurstModel, persistence=None):
-    """Probability that the mode's renewal chain keeps its previous bit.
-
-    ``paper`` keeps with rho(p), ``matched`` with sigma1(p) and ``enriquez``
-    (p = 1/2) with 2 rho - 1 for the supplied persistence rho.  This is also
-    the chain's lag-1 increment correlation.  ``p`` and ``persistence`` are
-    scalars (a float is returned) or arrays.
-    """
-    if mode == "paper":
-        return persistence_from_p(p, model)
-    if mode == "matched":
-        return n_step_correlation(p, model, 1)
-    if mode == "enriquez":
-        if persistence is None:
-            raise ValueError("enriquez mode needs an explicit persistence")
-        return 2.0 * persistence - 1.0
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def chain_lag_correlation(
-    mode: str,
-    p: float,
-    model: HurstModel,
-    n: int,
-    persistence: float | None = None,
-) -> float:
-    """Exact lag-n increment correlation of the stationary chain per mode.
-
-    A renewal chain decays as keep^n (the second eigenvalue of its transition
-    matrix is keep): rho(p)^n for ``paper``, sigma1(p)^n for ``matched`` and
-    (2 rho - 1)^n for ``enriquez`` at the supplied persistence.
-    """
-    if n < 0:
-        raise ValueError("lag must be nonnegative")
-    return float(renewal_keep(mode, p, model, persistence)) ** n

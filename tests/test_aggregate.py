@@ -10,12 +10,12 @@ from fbmwalk import (
     scaling_constant,
     theoretical_mixture_correlation,
 )
-from fbmwalk.aggregate import _pairwise_sum, standardized_levels
+from fbmwalk.aggregate import _pairwise_sum, renewal_keep, standardized_levels
 from fbmwalk.estimators import empirical_acf
 from fbmwalk.link import sigma_max
 from fbmwalk.sampling import InfeasiblePolicy, _draw_target, solve_p_batch
 from fbmwalk.validate import jarque_bera
-from fbmwalk.walk import draw_persistence, renewal_keep
+from fbmwalk.walk import draw_persistence
 
 from conftest import acf_known_mean
 
@@ -191,7 +191,8 @@ def test_aggregate_acf_paper_mode_reported_gap(model_07):
 
 
 def test_enriquez_endpoint_variance_closed_form():
-    # a_H^2 E[Var X_N] / N^(2H) against quadrature over the persistence law,
+    # against a_H^2 E[Var X_N] / N^(2H) by quadrature over the persistence
+    # law (the check's growth constant L must equal 1 / a_H^2),
     # with Var X_N = N + 2 sum_k (N-k) l^k at keep l = 2 rho - 1, and rho
     # = 1 - w^(1/(2-2H)) / 2 for w uniform on [0, 1] (its inverse CDF)
     from scipy import integrate

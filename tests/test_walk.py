@@ -7,14 +7,14 @@ import fbmwalk._kernels as kernels
 from fbmwalk import (
     HurstModel,
     InfeasiblePolicy,
-    chain_lag_correlation,
     generate_fbm,
     n_step_correlation,
     persistence_from_p,
+    renewal_keep,
 )
 from fbmwalk.aggregate import _walk_levels
 from fbmwalk.sampling import InfeasibleUniformError
-from fbmwalk.walk import draw_persistence, renewal_keep
+from fbmwalk.walk import draw_persistence
 
 from conftest import replicate_se
 
@@ -139,7 +139,7 @@ def test_enriquez_trajectory_carries_persistence(model_07):
 
 
 def test_chain_lag_paper_median(model_07):
-    v = chain_lag_correlation("paper", 0.5, model_07, 1)
+    v = renewal_keep("paper", 0.5, model_07)
     assert v == pytest.approx(0.6035176001781586, abs=1e-12)
     assert v == pytest.approx(float(persistence_from_p(0.5, model_07)), abs=1e-15)
 
@@ -147,25 +147,25 @@ def test_chain_lag_paper_median(model_07):
 def test_chain_lag_paper_matches_enumeration(model_07):
     for p in (0.05, 0.3, 0.5):
         rho = float(persistence_from_p(p, model_07))
-        assert chain_lag_correlation("paper", p, model_07, 1) == pytest.approx(
+        assert renewal_keep("paper", p, model_07) == pytest.approx(
             chain_corr_enumeration(p, rho), abs=1e-12
         )
 
 
 def test_chain_lag_matched_is_phi(model_07):
     for p in (0.1, 0.3, 0.5):
-        assert chain_lag_correlation("matched", p, model_07, 1) == pytest.approx(
+        assert renewal_keep("matched", p, model_07) == pytest.approx(
             float(n_step_correlation(p, model_07, 1)), abs=1e-15
         )
 
 
 def test_chain_lag_enriquez():
     m = HurstModel(0.7)
-    assert chain_lag_correlation("enriquez", 0.5, m, 3, persistence=0.75) == pytest.approx(
+    assert renewal_keep("enriquez", 0.5, m, persistence=0.75) ** 3 == pytest.approx(
         0.125, abs=1e-15
     )
     with pytest.raises(ValueError):
-        chain_lag_correlation("enriquez", 0.5, m, 3)
+        renewal_keep("enriquez", 0.5, m)
 
 
 def test_empirical_lag_law_per_mode(model_07):
