@@ -1,8 +1,9 @@
 """fbmwalk: fractional Brownian motion from aggregated correlated random walks.
 
-Thresholded-Gaussian link formulas, marginal-parameter sampling, three walk
-modes, deterministic parallel aggregation, exact Cholesky oracles and Hurst
-estimators, behind one CLI (``fbmwalk generate|estimate|validate|spread``).
+Thresholded-Gaussian link formulas, marginal-parameter sampling, two walk
+modes (``paper`` and ``enriquez``), deterministic parallel aggregation, exact
+Cholesky oracles and Hurst estimators, behind one CLI
+(``fbmwalk generate|estimate|validate|spread``).
 """
 
 from .aggregate import BACKEND, AggregatedPath, generate_fbm, renewal_keep
@@ -28,15 +29,8 @@ from .link import (
     phi_from_tetrachoric,
     sigma_max,
 )
-from .sampling import (
-    InfeasiblePolicy,
-    PSample,
-    density_p,
-    feasibility_threshold,
-    target_from_uniform,
-)
-from .special import bvn_cdf_excess_diag, ln_gamma, std_normal_cdf, std_normal_quantile
-from .walk import Trajectory
+from .sampling import density_p, feasibility_threshold, target_from_uniform
+from .special import bvn_cdf_excess_diag, std_normal_cdf, std_normal_quantile
 
 __version__ = "0.1.0"
 
@@ -63,14 +57,10 @@ __all__ = [
     "persistence_from_p",
     "phi_from_tetrachoric",
     "sigma_max",
-    "InfeasiblePolicy",
-    "PSample",
     "density_p",
     "feasibility_threshold",
     "target_from_uniform",
     "bvn_cdf_excess_diag",
-    "ln_gamma",
     "std_normal_cdf",
     "std_normal_quantile",
-    "Trajectory",
 ]

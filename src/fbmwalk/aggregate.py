@@ -19,9 +19,10 @@ import numpy as np
 
 from . import _kernels as kernels
 from .fgn import HurstModel
-from .link import n_step_correlation, persistence_from_p, sigma_max
-from .sampling import InfeasiblePolicy, _draw_target, solve_p_batch
-from .walk import draw_persistence
+# perfbench/layers.py times the link layer by wrapping this module's
+# persistence_from_p and n_step_correlation, so both stay importable here
+from .link import n_step_correlation, persistence_from_p, sigma_max  # noqa: F401
+from .sampling import _draw_target, draw_persistence, solve_p_batch
 
 __all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm", "renewal_keep"]
 
@@ -57,16 +58,14 @@ def standardized_levels(levels: np.ndarray, p: float, karr: np.ndarray) -> np.nd
 def renewal_keep(mode: str, p, model: HurstModel, persistence=None):
     """Probability that the mode's renewal chain keeps its previous bit.
 
-    ``paper`` keeps with rho(p), ``matched`` with sigma1(p) and ``enriquez``
-    (p = 1/2) with 2 rho - 1 for the supplied persistence rho.  A renewal
-    chain's lag-n increment correlation is keep^n (the second eigenvalue of
-    its transition matrix is keep).  ``p`` and ``persistence`` are scalars
-    (a float is returned) or arrays.
+    ``paper`` keeps with rho(p) and ``enriquez`` (p = 1/2) with 2 rho - 1 for
+    the supplied persistence rho.  A renewal chain's lag-n increment
+    correlation is keep^n (the second eigenvalue of its transition matrix is
+    keep).  ``p`` and ``persistence`` are scalars (a float is returned) or
+    arrays.
     """
     if mode == "paper":
         return persistence_from_p(p, model)
-    if mode == "matched":
-        return n_step_correlation(p, model, 1)
     if mode == "enriquez":
         if persistence is None:
             raise ValueError("enriquez mode needs an explicit persistence")
@@ -93,17 +92,14 @@ def generate_fbm(
     n_steps: int,
     n_paths: int,
     mode: str = "paper",
-    policy: InfeasiblePolicy = InfeasiblePolicy.RESAMPLE,
     seed: int = 0,
     workers: int = 1,
-    shared_p: bool = False,
 ) -> AggregatedPath:
     """Generate an approximate fBm path from n_paths aggregated trajectories.
 
     Parameters follow the construction: each trajectory draws its own
-    marginal parameter (``shared_p=True`` forces a single draw for all of
-    them, a diagnostic variant), walks n_steps, and is standardised before
-    summation.  Deterministic given (all arguments except workers).
+    marginal parameter, walks n_steps, and is standardised before summation.
+    Deterministic given (all arguments except workers).
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
@@ -111,39 +107,24 @@ def generate_fbm(
         raise ValueError("n_paths must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if mode not in ("paper", "matched", "enriquez"):
+    if mode not in ("paper", "enriquez"):
         raise ValueError(f"unknown mode {mode!r}")
-    policy = InfeasiblePolicy(policy)
 
     t0 = time.perf_counter()
     root = np.random.SeedSequence(seed)
-    children = root.spawn(n_paths + 1)
-    rngs = [np.random.Generator(np.random.PCG64(c)) for c in children[:n_paths]]
-    shared_rng = np.random.Generator(np.random.PCG64(children[n_paths]))
+    rngs = [np.random.Generator(np.random.PCG64(c)) for c in root.spawn(n_paths)]
 
     # parameter-draw phase (consumes each trajectory's stream first)
-    resample_total = 0
-    resample_max = 0
+    counts = [0]
     persistence = None
     if mode == "enriquez":
-        if shared_p:
-            persistence = np.full(n_paths, draw_persistence(shared_rng, model))
-        else:
-            persistence = np.array([draw_persistence(r, model) for r in rngs])
+        persistence = np.array([draw_persistence(r, model) for r in rngs])
         ps = np.full(n_paths, 0.5)
     else:
         s_max = sigma_max(model)
-        if shared_p:
-            _, target, count = _draw_target(shared_rng, model, policy, s_max)
-            targets = np.full(n_paths, target)
-            counts = [count]
-        else:
-            drawn = [_draw_target(r, model, policy, s_max) for r in rngs]
-            targets = np.array([d[1] for d in drawn])
-            counts = [d[2] for d in drawn]
-        resample_total = int(sum(counts))
-        resample_max = int(max(counts))
-        ps = solve_p_batch(targets, model)
+        drawn = [_draw_target(r, model, s_max) for r in rngs]
+        counts = [d[2] for d in drawn]
+        ps = solve_p_batch(np.array([d[1] for d in drawn]), model)
     keeps = np.asarray(renewal_keep(mode, ps, model, persistence))
 
     karr = np.arange(1, n_steps + 1, dtype=np.float64)
@@ -166,14 +147,12 @@ def generate_fbm(
     steps = n_steps * n_paths
     meta = {
         "mode": mode,
-        "policy": policy.value,
         "seed": seed,
-        "shared_p": shared_p,
         "workers": workers,
         "backend": BACKEND,
         "stream_version": STREAM_VERSION,
-        "resample_total": resample_total,
-        "resample_max": resample_max,
+        "resample_total": int(sum(counts)),
+        "resample_max": int(max(counts)),
         "elapsed_s": elapsed,
         "throughput_steps_per_s": steps / elapsed if elapsed > 0 else float("inf"),
     }

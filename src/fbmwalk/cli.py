@@ -1,7 +1,7 @@
 """Command-line interface: generate, estimate, validate, spread.
 
-Exit codes: 0 success, 2 configuration/input error, 3 numeric or
-infeasibility error, 4 validation failure.
+Exit codes: 0 success, 2 configuration/input error, 3 numeric error,
+4 validation failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .estimators import (
 )
 from .fgn import HurstModel
 from .gaussian import MAX_DENSE_N, cholesky_fbm
-from .sampling import InfeasiblePolicy, InfeasibleTargetError, InfeasibleUniformError
+from .sampling import InfeasibleTargetError
 from .validate import replicate_spread, run_validation
 
 EXIT_OK = 0
@@ -30,7 +30,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VALIDATION = 4
 
-_WALK_MODES = ("paper", "matched", "enriquez")
+_WALK_MODES = ("paper", "enriquez")
 
 
 def _fail(category: str, message: str, code: int) -> int:
@@ -87,8 +87,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             return _fail(
                 "config", f"gaussian-oracle supports steps <= {MAX_DENSE_N}", EXIT_CONFIG
             )
-        if args.shared_p:
-            return _fail("config", "--shared-p needs a walk mode", EXIT_CONFIG)
         values = cholesky_fbm(model, args.steps, args.seed)
         times = np.arange(args.steps + 1, dtype=np.float64) / args.steps
         meta = {
@@ -103,14 +101,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
             args.steps,
             args.paths,
             mode=args.mode,
-            policy=InfeasiblePolicy(args.infeasible),
             seed=args.seed,
             workers=args.workers,
-            shared_p=args.shared_p,
         )
         values = path.values
         times = path.times
-        meta = dict(path.meta, paths=args.paths, infeasible=args.infeasible)
+        meta = dict(path.meta, paths=args.paths)
     if args.raw_levels:
         times = np.arange(len(values), dtype=np.float64)
     meta.update(
@@ -190,7 +186,6 @@ def cmd_spread(args: argparse.Namespace) -> int:
         n_paths=args.paths,
         replicates=args.replicates,
         mode=args.mode,
-        policy=InfeasiblePolicy(args.infeasible),
         seed=args.seed,
         workers=args.workers,
     )
@@ -219,19 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
         p.add_argument("--mode", choices=modes, default="paper")
 
-    def run_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--infeasible",
-            choices=[p.value for p in InfeasiblePolicy],
-            default="resample",
-            help="policy for uniforms whose target exceeds sigma_max",
-        )
+    def workers_option(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1, help="worker threads (never changes output bytes)")
 
     g = sub.add_parser("generate", help="generate a path and write CSV/JSON plus metadata sidecar")
     common(g, paths_default=1024, modes=(*_WALK_MODES, "gaussian-oracle"))
-    run_options(g)
-    g.add_argument("--shared-p", action="store_true", help="one marginal draw shared by all trajectories")
+    workers_option(g)
     g.add_argument("--out", required=True, help="output file")
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--raw-levels", action="store_true", help="emit integer step index instead of t=k/N")
@@ -251,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spread", help="Hurst-estimate spread over replicate runs")
     common(s, paths_default=1024)
-    run_options(s)
+    workers_option(s)
     s.add_argument("--replicates", type=int, default=30)
     s.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     s.set_defaults(fn=cmd_spread)
@@ -263,9 +251,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InfeasibleUniformError, InfeasibleTargetError) as exc:
-        return _fail("infeasible", str(exc), EXIT_NUMERIC)
-    except (DegeneratePathError, InsufficientLengthError, np.linalg.LinAlgError) as exc:
+    except (
+        InfeasibleTargetError,
+        DegeneratePathError,
+        InsufficientLengthError,
+        np.linalg.LinAlgError,
+    ) as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
     except FileNotFoundError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)

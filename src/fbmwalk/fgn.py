@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import ln_gamma
-
 __all__ = [
     "HurstModel",
     "fbm_covariance",
@@ -55,7 +53,7 @@ def scaling_constant(h: float) -> float:
     """
     if not 0.5 < h < 1.0:
         raise ValueError(f"scaling constant defined for 1/2 < H < 1, got {h}")
-    return math.sqrt(h * (2.0 * h - 1.0) / math.exp(ln_gamma(3.0 - 2.0 * h)))
+    return math.sqrt(h * (2.0 * h - 1.0) / math.exp(math.lgamma(3.0 - 2.0 * h)))
 
 
 def theoretical_mixture_correlation(n: int, h: float) -> float:
@@ -70,7 +68,7 @@ def theoretical_mixture_correlation(n: int, h: float) -> float:
     if not 0.5 < h < 1.0:
         raise ValueError(f"mixture correlation defined for 1/2 < H < 1, got {h}")
     e = 2.0 - 2.0 * h
-    return e * math.exp(ln_gamma(n + 1.0) + ln_gamma(e) - ln_gamma(n + 1.0 + e))
+    return e * math.exp(math.lgamma(n + 1.0) + math.lgamma(e) - math.lgamma(n + 1.0 + e))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fgn import HurstModel, fgn_autocovariance
-from .link import persistence_from_p
-from .sampling import PSample
 from .special import std_normal_quantile
-from .walk import Trajectory
 
 __all__ = ["fgn_cholesky_factor", "cholesky_fbm", "dichotomized_gaussian_walk"]
 
@@ -66,8 +63,8 @@ def cholesky_fbm(model: HurstModel, n: int, seed, factor: np.ndarray | None = No
 
 def dichotomized_gaussian_walk(
     model: HurstModel, p: float, n: int, seed, factor: np.ndarray | None = None
-) -> Trajectory:
-    """Threshold exact fGn at z(p): step +1 where Z_j <= z(p), else -1.
+) -> np.ndarray:
+    """Threshold exact fGn at z(p): int64 step +1 where Z_j <= z(p), else -1.
 
     The resulting +-1 chain has marginal p and lag-m correlation equal to
     the phi coefficient at tetrachoric delta_m, exactly.
@@ -77,14 +74,4 @@ def dichotomized_gaussian_walk(
     rng = np.random.default_rng(seed)
     L = fgn_cholesky_factor(model, n) if factor is None else factor
     fgn = _exact_fgn(L, rng)
-    z = std_normal_quantile(p)
-    steps = np.where(fgn <= z, np.int64(1), np.int64(-1))
-    levels = np.cumsum(steps)
-    ps = PSample(
-        u=float("nan"),
-        target=float("nan"),
-        p=p,
-        rho=float(persistence_from_p(p, model)),
-        resampled_count=0,
-    )
-    return Trajectory(levels=levels, psample=ps, mode="gaussian-oracle")
+    return np.where(fgn <= std_normal_quantile(p), np.int64(1), np.int64(-1))

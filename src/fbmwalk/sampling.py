@@ -5,13 +5,11 @@ A uniform draw u is mapped to a target lag-1 correlation
 ``n_step_correlation(p, model, 1) = t(u)`` on the branch p in (0, 1/2].
 The target is only attainable up to the maximal phi coefficient
 ``sigma_max = (2/pi) asin(delta1) < 1``, so uniforms above the feasibility
-threshold admit no solution; the policy below decides what happens then.
+threshold admit no solution and are redrawn: each walk's p then follows the
+nominal density renormalised to the solvable branch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -19,10 +17,8 @@ from .fgn import HurstModel
 from .link import n_step_correlation, sigma_max
 
 __all__ = [
-    "InfeasiblePolicy",
-    "InfeasibleUniformError",
     "InfeasibleTargetError",
-    "PSample",
+    "draw_persistence",
     "target_from_uniform",
     "feasibility_threshold",
     "solve_p_batch",
@@ -37,38 +33,8 @@ CORR_TOL = 1e-10
 _BISECT_ITERS = 64
 
 
-class InfeasiblePolicy(str, Enum):
-    """What to do with a uniform whose target exceeds sigma_max."""
-
-    RESAMPLE = "resample"
-    CLAMP = "clamp"
-    ERROR = "error"
-
-
-class InfeasibleUniformError(ValueError):
-    """Raised under policy ERROR when a uniform admits no solvable target."""
-
-    def __init__(self, u: float, s_max: float):
-        self.u = u
-        self.sigma_max = s_max
-        super().__init__(
-            f"uniform draw u={u!r} maps to a target above sigma_max={s_max!r}; no p solves it"
-        )
-
-
 class InfeasibleTargetError(ValueError):
     """Raised when solve_p_batch is handed a target above sigma_max."""
-
-
-@dataclass(frozen=True)
-class PSample:
-    """One accepted draw of the marginal parameter."""
-
-    u: float
-    target: float
-    p: float
-    rho: float
-    resampled_count: int = 0
 
 
 def target_from_uniform(u: float, model: HurstModel) -> float:
@@ -133,10 +99,8 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel) -> np.ndarray:
     return p
 
 
-def _draw_target(
-    rng: np.random.Generator, model: HurstModel, policy: InfeasiblePolicy, s_max: float
-) -> tuple[float, float, int]:
-    """Draw one solvable target under the policy: returns (u, target, rejections).
+def _draw_target(rng: np.random.Generator, model: HurstModel, s_max: float) -> tuple[float, float, int]:
+    """Draw one solvable target, redrawing infeasible uniforms: (u, target, rejections).
 
     The source is consumed one uniform per attempt, so a fixed seed
     reproduces the rejection count; ``s_max`` is ``sigma_max(model)``, passed
@@ -148,12 +112,16 @@ def _draw_target(
         target = float(target_from_uniform(u, model))
         if target <= s_max:
             return u, target, count
-        if policy == InfeasiblePolicy.RESAMPLE:
-            count += 1
-            continue
-        if policy == InfeasiblePolicy.CLAMP:
-            return u, s_max, count
-        raise InfeasibleUniformError(u, s_max)
+        count += 1
+
+
+def draw_persistence(rng: np.random.Generator, model: HurstModel) -> float:
+    """Inverse-CDF draw of the enriquez persistence density on [1/2, 1].
+
+    The density is (1-H) 2^(3-2H) (1-rho)^(1-2H); one uniform per draw.
+    """
+    u = rng.random()
+    return 1.0 - 0.5 * float(np.exp(np.log1p(-u) / (2.0 - 2.0 * model.h)))
 
 
 def density_p(p, model: HurstModel):

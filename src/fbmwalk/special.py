@@ -1,4 +1,4 @@
-"""Special functions: normal CDF/quantile, diagonal bivariate-normal excess, log-Gamma.
+"""Special functions: normal CDF/quantile and the diagonal bivariate-normal excess.
 
 All routines are pure double-precision evaluations with no external
 dependencies.  Tail behaviour matters here: downstream root-finding divides
@@ -18,7 +18,6 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "bvn_cdf_excess_diag",
-    "ln_gamma",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -180,10 +179,3 @@ def bvn_cdf_excess_diag(z, r: float):
             acc += wi * np.exp(-z2 / (1.0 + sn))
     out = acc * asr / (2.0 * _TWOPI)
     return out if z.shape else float(out)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)

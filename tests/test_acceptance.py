@@ -193,9 +193,9 @@ def test_criterion_5_dichotomized_oracle_equivalence(p, h):
     mu = 2.0 * p - 1.0
     lag1, marg = [], []
     for _ in range(reps):
-        t = dichotomized_gaussian_walk(model, p, n, rng, factor=factor)
-        lag1.append(acf_known_mean(t.increments, mu, 1)[0])
-        marg.append(float(np.mean(t.increments == 1)))
+        steps = dichotomized_gaussian_walk(model, p, n, rng, factor=factor)
+        lag1.append(acf_known_mean(steps, mu, 1)[0])
+        marg.append(float(np.mean(steps == 1)))
     predicted = float(n_step_correlation(p, model, 1))
     z_lag = abs(np.mean(lag1) - predicted) / replicate_se(lag1)
     z_marg = abs(np.mean(marg) - p) / replicate_se(marg)

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from fbmwalk.cli import main
@@ -27,7 +26,6 @@ def test_generate_csv_schema(tmp_path):
     assert meta["paths"] == 8
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
-    assert meta["infeasible"] == "resample"
     assert meta["stream_version"] == 3
     assert "resample_total" in meta and "wall_time_s" in meta
 
@@ -62,16 +60,12 @@ def test_generate_gaussian_oracle_schema(tmp_path):
 
 
 def test_generate_oracle_sidecar_omits_walk_options(tmp_path):
-    # the oracle aggregates no walks: its sidecar records no walk options, and
-    # --shared-p, which only a walk can honour, is refused
+    # the oracle aggregates no walks: its sidecar records no walk count
     out = tmp_path / "g.csv"
     argv = ["generate", "--hurst", 0.7, "--steps", 64, "--mode", "gaussian-oracle", "--out", out]
-    assert run([*argv, "--paths", 7, "--infeasible", "error"]) == 0
+    assert run([*argv, "--paths", 7]) == 0
     meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-    assert not {"paths", "infeasible", "shared_p"} & set(meta)
-    out.unlink()
-    assert run([*argv, "--shared-p"]) == 2
-    assert not out.exists()
+    assert "paths" not in meta
 
 
 def test_generate_json_format(tmp_path):
@@ -100,21 +94,6 @@ def test_generate_config_errors(tmp_path):
             assert run(["generate", "--hurst", 0.7, "--steps", 64, *argv, "--out", out]) == 2
         assert run(["generate", "--hurst", 0.7, "--steps", 64, "--mode", mode, "--paths", 0, "--out", out]) == 2
     assert not out.exists()
-
-
-def test_generate_infeasible_error_policy(tmp_path):
-    # find a seed whose first trajectory draws an infeasible first uniform
-    out = tmp_path / "e.csv"
-    for seed in range(200):
-        children = np.random.SeedSequence(seed).spawn(2)
-        u = float(np.random.Generator(np.random.PCG64(children[0])).random())
-        if u > 0.1299337:
-            code = run(
-                ["generate", "--hurst", 0.7, "--steps", 16, "--paths", 1, "--seed", seed, "--infeasible", "error", "--out", out]
-            )
-            assert code == 3
-            return
-    pytest.fail("no infeasible first draw found")
 
 
 # ---------------------------------------------------------------- estimate
@@ -214,18 +193,29 @@ def test_refuse_bad_replicate_counts(argv, capsys):
 
 
 def test_validate_spread_refuse_oracle_mode(capsys):
-    # the oracle has no walk to validate; argparse rejects the choice (exit 2)
-    for command in ("validate", "spread"):
+    # the oracle has no walk to validate, and no command has the retired
+    # matched mode; argparse rejects the choice (exit 2)
+    invalid = [
+        ("validate", "gaussian-oracle"),
+        ("spread", "gaussian-oracle"),
+        ("generate", "matched"),
+        ("validate", "matched"),
+        ("spread", "matched"),
+    ]
+    for command, mode in invalid:
         with pytest.raises(SystemExit) as exc:
-            run([command, "--hurst", 0.7, "--mode", "gaussian-oracle"])
+            run([command, "--hurst", 0.7, "--mode", mode])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
-    # options a command would ignore are not offered at all
+    # options a command would ignore, and the retired ones, are not offered at all
     ignored = [
         ("validate", "--workers", -3),
         ("validate", "--shared-p"),
         ("validate", "--infeasible", "error"),
         ("spread", "--shared-p"),
+        ("spread", "--infeasible", "resample"),
+        ("generate", "--out", "unused.csv", "--infeasible", "resample"),
+        ("generate", "--out", "unused.csv", "--shared-p"),
     ]
     for command, *option in ignored:
         with pytest.raises(SystemExit) as exc:

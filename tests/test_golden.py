@@ -16,7 +16,6 @@ from fbmwalk.cli import main
 DIGEST_STREAM_VERSION = 3
 WALK_DIGESTS = {
     "paper": "e2eb8e1913daa00ea42fc4f425a8cff1f5ef4bd890b2738c1a29f65c1c348d07",
-    "matched": "028bb5c5233907defddc61954cdc5468b51f899e501d6516d190888354376ef8",
     "enriquez": "e41b5d94f0818258cd2f92ed61f871942100ade86403a5405c40825ad1223883",
 }
 ORACLE_DIGEST = "db571975bb7b0d7f5fbe56bd81d432b436b72142f2bd815d7e60c79747a9a2d1"

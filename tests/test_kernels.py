@@ -37,7 +37,7 @@ def test_paper_matches_scalar_reference():
 
 
 def test_matched_matches_scalar_reference():
-    # matched: (p, sigma1(p)), sigma1 below sigma_max < 1
+    # low keep, at points (p, sigma1(p)) of the phi-coefficient law, sigma1 below sigma_max < 1
     rng = np.random.default_rng(1)
     _check_against_scalar(rng, lambda: (float(rng.uniform(0.001, 0.5)), float(rng.uniform(0.0, 0.45))))
 

@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from fbmwalk import (
-    InfeasiblePolicy,
     density_p,
     feasibility_threshold,
     n_step_correlation,
@@ -13,25 +12,17 @@ from fbmwalk import (
     sigma_max,
     target_from_uniform,
 )
-from fbmwalk.sampling import (
-    P_FLOOR,
-    InfeasibleTargetError,
-    InfeasibleUniformError,
-    PSample,
-    _draw_target,
-    solve_p_batch,
-)
+from fbmwalk.sampling import P_FLOOR, InfeasibleTargetError, _draw_target, solve_p_batch
 
 
 def solve_one(target: float, model) -> float:
     return float(solve_p_batch(np.array([target]), model)[0])
 
 
-def draw_p(rng, model, policy=InfeasiblePolicy.RESAMPLE) -> PSample:
-    """One marginal draw as generate_fbm makes it: target draw, then batch solve."""
-    u, target, count = _draw_target(rng, model, policy, sigma_max(model))
-    p = solve_one(target, model)
-    return PSample(u=u, target=target, p=p, rho=float(persistence_from_p(p, model)), resampled_count=count)
+def draw_p(rng, model) -> tuple[float, float, float, int]:
+    """One marginal draw as generate_fbm makes it: (u, target, p, rejections)."""
+    u, target, count = _draw_target(rng, model, sigma_max(model))
+    return u, target, solve_one(target, model), count
 
 # ---------------------------------------------------------------- target map
 
@@ -135,42 +126,20 @@ def test_sample_deterministic(model_07):
 
 def test_sample_resample_counts_deterministic(model_07):
     rng = np.random.default_rng(7)
-    counts = [draw_p(rng, model_07).resampled_count for _ in range(200)]
+    counts = [draw_p(rng, model_07)[3] for _ in range(200)]
     rng = np.random.default_rng(7)
-    counts2 = [draw_p(rng, model_07).resampled_count for _ in range(200)]
+    counts2 = [draw_p(rng, model_07)[3] for _ in range(200)]
     assert counts == counts2
     assert sum(counts) > 0  # u_max ~ 0.13, so rejections must occur
-
-
-def test_sample_clamp_policy(model_07):
-    # find a seed whose first uniform is infeasible, then clamp must give p = 1/2
-    for seed in range(100):
-        u = float(np.random.default_rng(seed).random())
-        if u > feasibility_threshold(model_07):
-            s = draw_p(np.random.default_rng(seed), model_07, InfeasiblePolicy.CLAMP)
-            assert s.p == pytest.approx(0.5, abs=1e-8)
-            assert s.u == u
-            return
-    pytest.fail("no infeasible first draw among 100 seeds")
-
-
-def test_sample_error_policy(model_07):
-    for seed in range(100):
-        u = float(np.random.default_rng(seed).random())
-        if u > feasibility_threshold(model_07):
-            with pytest.raises(InfeasibleUniformError):
-                draw_p(np.random.default_rng(seed), model_07, InfeasiblePolicy.ERROR)
-            return
-    pytest.fail("no infeasible first draw among 100 seeds")
 
 
 def test_sample_invariants(model_07):
     rng = np.random.default_rng(3)
     for _ in range(100):
-        s = draw_p(rng, model_07)
-        assert 0.0 < s.p <= 0.5
-        assert abs(float(n_step_correlation(s.p, model_07, 1)) - s.target) <= 1e-9 or s.p == P_FLOOR
-        assert 0.5 < s.rho < 1.0
+        _, target, p, _ = draw_p(rng, model_07)
+        assert 0.0 < p <= 0.5
+        assert abs(float(n_step_correlation(p, model_07, 1)) - target) <= 1e-9 or p == P_FLOOR
+        assert 0.5 < float(persistence_from_p(p, model_07)) < 1.0
 
 
 # ---------------------------------------------------------------- density

@@ -8,12 +8,7 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from fbmwalk.link import _phi2_excess
-from fbmwalk.special import (
-    bvn_cdf_excess_diag,
-    ln_gamma,
-    std_normal_cdf,
-    std_normal_quantile,
-)
+from fbmwalk.special import bvn_cdf_excess_diag, std_normal_cdf, std_normal_quantile
 
 # ---------------------------------------------------------------- oracles
 
@@ -144,8 +139,11 @@ def test_quantile_vec_matches_scalar():
 
 @given(st.floats(1e-9, 1 - 1e-9), st.floats(1e-9, 1 - 1e-9))
 def test_quantile_strictly_increasing(a, b):
-    if a != b:
-        lo, hi = min(a, b), max(a, b)
+    # inputs closer than the quantile's resolution may share one double
+    # (1e-9 and the next double up both give -5.9978070150076865), so the
+    # order is asserted only between inputs a relative 1e-12 apart
+    lo, hi = min(a, b), max(a, b)
+    if hi - lo > 1e-12 * hi:
         assert std_normal_quantile(lo) < std_normal_quantile(hi)
 
 
@@ -258,41 +256,3 @@ def test_bvn_excess_diag_matches_direct():
         )
         assert np.max(np.abs(exc - direct) / direct) < 1e-13
         assert np.all(exc >= 0.0)
-
-
-# ---------------------------------------------------------------- log gamma
-
-
-def test_ln_gamma_integers():
-    assert ln_gamma(1.0) == 0.0
-    assert ln_gamma(2.0) == 0.0
-
-
-def test_ln_gamma_known_constants():
-    assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-10)
-    assert ln_gamma(1.5) == pytest.approx(math.log(math.sqrt(math.pi) / 2.0), abs=1e-10)
-
-
-def test_ln_gamma_against_quadrature():
-    def gamma_quad(x):
-        val, _ = integrate.quad(
-            lambda t: t ** (x - 1.0) * math.exp(-t), 0.0, 250.0, epsabs=1e-13, epsrel=1e-13, limit=400
-        )
-        return val
-
-    for x in (0.3, 0.5, 1.5, 2.7, 5.0, 9.25):
-        assert math.exp(ln_gamma(x)) == pytest.approx(gamma_quad(x), rel=1e-10)
-
-
-def test_ln_gamma_relative_error_range():
-    # recurrence consistency Gamma(x+1) = x Gamma(x) across (0, 50]
-    for x in np.linspace(0.1, 49.0, 197):
-        lhs = ln_gamma(x + 1.0)
-        rhs = ln_gamma(x) + math.log(x)
-        assert lhs == pytest.approx(rhs, abs=5e-13)
-
-
-def test_ln_gamma_domain():
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)

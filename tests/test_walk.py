@@ -6,15 +6,13 @@ import pytest
 import fbmwalk._kernels as kernels
 from fbmwalk import (
     HurstModel,
-    InfeasiblePolicy,
     generate_fbm,
     n_step_correlation,
     persistence_from_p,
     renewal_keep,
 )
 from fbmwalk.aggregate import _walk_levels
-from fbmwalk.sampling import InfeasibleUniformError
-from fbmwalk.walk import draw_persistence
+from fbmwalk.sampling import draw_persistence
 
 from conftest import replicate_se
 
@@ -73,7 +71,7 @@ def test_single_step_trajectory():
 
 
 def test_trajectory_determinism(model_07):
-    for mode in ("paper", "matched", "enriquez"):
+    for mode in ("paper", "enriquez"):
         a = generate_fbm(model_07, 512, 1, mode=mode, seed=123)
         b = generate_fbm(model_07, 512, 1, mode=mode, seed=123)
         assert np.array_equal(a.values, b.values)
@@ -81,24 +79,13 @@ def test_trajectory_determinism(model_07):
 
 
 def test_trajectory_parity_invariant(model_07):
-    for mode in ("paper", "matched", "enriquez"):
+    for mode in ("paper", "enriquez"):
         p = 0.5 if mode == "enriquez" else 0.3
         keep = float(renewal_keep(mode, p, model_07, persistence=0.75))
         levels = _walk_levels(np.random.default_rng(9), 257, p, keep)
         k = np.arange(1, 258)
         assert np.all((levels - k) % 2 == 0)
         assert set(np.unique(np.diff(levels, prepend=0))) <= {-1, 1}
-
-
-def test_trajectory_error_policy_propagates(model_07):
-    raised = False
-    for seed in range(50):
-        try:
-            generate_fbm(model_07, 8, 1, policy=InfeasiblePolicy.ERROR, seed=seed)
-        except InfeasibleUniformError:
-            raised = True
-            break
-    assert raised  # u_max ~ 0.13: an infeasible first draw appears quickly
 
 
 def test_enriquez_persistence_law(model_07):
@@ -127,7 +114,7 @@ def test_enriquez_trajectory_carries_persistence(model_07):
     # an enriquez trajectory draws its persistence first, then walks at p = 1/2,
     # where standardisation is the identity: one path is a_H X_k / N^H
     n = 16
-    rng = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
     rho = draw_persistence(rng, model_07)
     assert 0.5 <= rho <= 1.0
     levels = kernels.renewal_levels(rng.random(n), 0.5, 2.0 * rho - 1.0)
@@ -152,13 +139,6 @@ def test_chain_lag_paper_matches_enumeration(model_07):
         )
 
 
-def test_chain_lag_matched_is_phi(model_07):
-    for p in (0.1, 0.3, 0.5):
-        assert renewal_keep("matched", p, model_07) == pytest.approx(
-            float(n_step_correlation(p, model_07, 1)), abs=1e-15
-        )
-
-
 def test_chain_lag_enriquez():
     m = HurstModel(0.7)
     assert renewal_keep("enriquez", 0.5, m, persistence=0.75) ** 3 == pytest.approx(
@@ -172,8 +152,7 @@ def test_empirical_lag_law_per_mode(model_07):
     """Lags 1..5 of each chain against its exact law, via replicate SE.
 
     The paper-mode walk must follow rho(p)^n, not the phi-coefficient power
-    law it is nominally built to achieve; the matched mode follows the
-    phi-coefficient law by construction.
+    law it is nominally built to achieve.
     """
     from fbmwalk.estimators import empirical_acf
 
@@ -183,19 +162,16 @@ def test_empirical_lag_law_per_mode(model_07):
     reps, steps = 16, 62_500
     rng = np.random.default_rng(30)
 
-    acc = {"paper": [], "matched": [], "enriquez": []}
+    acc = {"paper": [], "enriquez": []}
     for _ in range(reps):
         u_paper, u = rng.random(steps), rng.random(steps)
         inc = np.diff(kernels.renewal_levels(u_paper, p, rho), prepend=np.int64(0))
         acc["paper"].append(empirical_acf(inc.astype(np.float64), 5))
-        inc = np.diff(kernels.renewal_levels(u, p, s1), prepend=np.int64(0))
-        acc["matched"].append(empirical_acf(inc.astype(np.float64), 5))
         inc = np.diff(kernels.renewal_levels(u, 0.5, 0.5), prepend=np.int64(0))  # rho = 0.75
         acc["enriquez"].append(empirical_acf(inc.astype(np.float64), 5))
 
     laws = {
         "paper": [rho**n for n in range(1, 6)],
-        "matched": [s1**n for n in range(1, 6)],
         "enriquez": [0.5**n for n in range(1, 6)],
     }
     for mode, rows in acc.items():
@@ -213,16 +189,11 @@ def test_empirical_lag_law_per_mode(model_07):
 def test_stationary_marginal_all_modes(model_07):
     p = 0.3
     rho = float(persistence_from_p(p, model_07))
-    s1 = float(n_step_correlation(p, model_07, 1))
     reps, steps = 16, 62_500
     rng = np.random.default_rng(31)
-    for make in (
-        lambda: kernels.renewal_levels(rng.random(steps), p, rho),
-        lambda: kernels.renewal_levels(rng.random(steps), p, s1),
-    ):
-        props = []
-        for _ in range(reps):
-            inc = np.diff(make(), prepend=np.int64(0))
-            props.append(float(np.mean(inc == 1)))
-        se = replicate_se(props)
-        assert abs(np.mean(props) - p) <= 4 * se
+    props = []
+    for _ in range(reps):
+        inc = np.diff(kernels.renewal_levels(rng.random(steps), p, rho), prepend=np.int64(0))
+        props.append(float(np.mean(inc == 1)))
+    se = replicate_se(props)
+    assert abs(np.mean(props) - p) <= 4 * se
