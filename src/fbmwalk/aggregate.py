@@ -1,15 +1,19 @@
 """Aggregate M independent trajectories into an approximate fBm path on [0, 1].
 
-Each trajectory is standardised by its own marginal mean and variance,
-summed into a single accumulator, and the sum is rescaled by
-``a_H / (N^H sqrt(M))``.  Reduction follows a fixed schedule (pairwise tree
-inside fixed-size blocks, blocks in index order), and every trajectory owns a
-generator spawned deterministically from the master seed, so output is
-byte-identical for any worker count.
+The standardised sum is linear in the walks, so no walk is expanded step by
+step: each trajectory draws its first bit and the geometric sojourns of its
+bit, and scatters its standardised first step and its weighted flips into
+the second-difference array of its 64-trajectory block.  The block arrays
+are summed in a fixed pairwise order, two prefix sums turn the result into
+the summed standardised levels, and the sum is rescaled by
+``a_H / (N^H sqrt(M))``.  Every trajectory owns a generator spawned
+deterministically from the master seed and a block is one unit of work, so
+output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -31,9 +35,11 @@ BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 # bytes fixed by (config, seed) change on purpose.  2: one bivariate route at
 # every correlation (bytes moved only where delta1 >= 0.925, i.e. H >= 0.9725).
 # 3: one renewal kernel reading one uniform per step, and one 20-point
-# quadrature rule (every walk mode moved; the oracle did not).
-STREAM_VERSION = 3
-_BLOCK = 64  # trajectories per reduction block; fixed so results never depend on workers
+# quadrature rule (every walk mode moved; the oracle did not).  4: each walk
+# is drawn as its first bit and geometric sojourns, and aggregated from its
+# flips (every walk mode moved; the oracle did not).
+STREAM_VERSION = 4
+_BLOCK = 64  # trajectories per pool task; fixed so results never depend on workers
 
 
 @dataclass(frozen=True)
@@ -48,11 +54,24 @@ class AggregatedPath:
     meta: dict = field(default_factory=dict)
 
 
-def standardized_levels(levels: np.ndarray, p: float, karr: np.ndarray) -> np.ndarray:
-    """Per-trajectory standardisation (X_k - k(2p-1)) / sqrt(4p(1-p))."""
-    mean_step = 2.0 * p - 1.0
-    scale = np.sqrt(4.0 * p * (1.0 - p))
-    return (levels - karr * mean_step) / scale
+# perfbench/layers.py times the walk's draws, its scatter and the block
+# reduction by wrapping _walk_levels, standardized_levels and _pairwise_sum
+# here, so the three keep their names
+def standardized_levels(d2: np.ndarray, up: bool, flips: np.ndarray, p: float) -> None:
+    """Scatter one walk's standardised steps into a second-difference array.
+
+    The standardised step ``(2 bit - 1 - (2p - 1)) w``, with
+    ``w = 1/sqrt(4p(1-p))``, is ``2w(1-p)`` while the bit is 1 and ``-2wp``
+    while it is 0.  So ``d2[0]`` gains the first step, and each flip ``-2w``
+    (from 1 to 0) or ``+2w`` (from 0 to 1); the flips alternate, starting
+    from the first bit.  Two prefix sums of ``d2`` give the summed
+    standardised levels.
+    """
+    w = 1.0 / math.sqrt(4.0 * p * (1.0 - p))
+    d2[0] += 2.0 * w * ((1.0 if up else 0.0) - p)
+    jump = -2.0 * w if up else 2.0 * w
+    np.add.at(d2, flips[0::2], jump)
+    np.add.at(d2, flips[1::2], -jump)
 
 
 def renewal_keep(mode: str, p, model: HurstModel, persistence=None):
@@ -73,9 +92,35 @@ def renewal_keep(mode: str, p, model: HurstModel, persistence=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _walk_levels(rng: np.random.Generator, n: int, p: float, keep: float) -> np.ndarray:
-    """Draw n step uniforms from the trajectory's own stream and walk them."""
-    return kernels.renewal_levels(rng.random(n), p, keep)
+def _walk_levels(rng: np.random.Generator, n: int, p: float, keep: float) -> tuple[bool, np.ndarray]:
+    """One walk of n steps from the trajectory's own stream: (first bit, flip steps).
+
+    One uniform sets the first bit (1 when u < p).  Then the sojourns
+    alternate between the first bit's state and the other, each geometric in
+    its state's leave probability, (1 - keep)(1 - p) from 1 and (1 - keep) p
+    from 0.  They are drawn in batches, each of about 1.1 times the expected
+    flip count: first the sojourns of the first bit's state, then as many of
+    the other state's, interleaved; batches follow until a flip passes step
+    n.  A leave probability of 0 (keep = 1) means no further flip: the first
+    sojourn lasts the whole walk.  The first bit's state is then the one never
+    left, as the first bit is 0 at p = 0 and 1 at p = 1.
+    """
+    up = bool(rng.random() < p)
+    leave_up, leave_down = (1.0 - keep) * (1.0 - p), (1.0 - keep) * p
+    first, second = (leave_up, leave_down) if up else (leave_down, leave_up)
+    if first == 0.0:
+        return up, kernels.renewal_flips(np.array([n]), n)
+    half = int(1.1 * n * (1.0 - keep) * p * (1.0 - p)) + 8
+    sojourns = np.empty(2 * half, dtype=np.int64)
+    flips, start = [], 0
+    while True:
+        sojourns[0::2] = rng.geometric(first, half)
+        sojourns[1::2] = rng.geometric(second, half)
+        at = kernels.renewal_flips(sojourns, n, start)
+        flips.append(at)
+        if len(at) < len(sojourns):
+            return up, flips[0] if len(flips) == 1 else np.concatenate(flips)
+        start = int(at[-1])
 
 
 def _pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
@@ -85,6 +130,10 @@ def _pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
             merged.append(arrays[-1])
         arrays = merged
     return arrays[0]
+
+
+def _spread(x: np.ndarray) -> dict:
+    return {"min": float(np.min(x)), "median": float(np.median(x)), "max": float(np.max(x))}
 
 
 def generate_fbm(
@@ -126,24 +175,30 @@ def generate_fbm(
         counts = [d[2] for d in drawn]
         ps = solve_p_batch(np.array([d[1] for d in drawn]), model)
     keeps = np.asarray(renewal_keep(mode, ps, model, persistence))
+    t1 = time.perf_counter()
 
-    karr = np.arange(1, n_steps + 1, dtype=np.float64)
+    def block(start: int) -> tuple[np.ndarray, np.ndarray]:
+        d2 = np.zeros(n_steps, dtype=np.float64)
+        stop = min(start + _BLOCK, n_paths)
+        n_flips = np.empty(stop - start, dtype=np.int64)
+        for i in range(start, stop):
+            up, flips = _walk_levels(rngs[i], n_steps, float(ps[i]), float(keeps[i]))
+            standardized_levels(d2, up, flips, float(ps[i]))
+            n_flips[i - start] = len(flips)
+        return d2, n_flips
 
-    def task(i: int) -> np.ndarray:
-        levels = _walk_levels(rngs[i], n_steps, float(ps[i]), float(keeps[i]))
-        return standardized_levels(levels, float(ps[i]), karr)
-
-    total = np.zeros(n_steps, dtype=np.float64)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        for start in range(0, n_paths, _BLOCK):
-            block = mapper(task, range(start, min(start + _BLOCK, n_paths)))
-            total += _pairwise_sum(list(block))
+        blocks = list(mapper(block, range(0, n_paths, _BLOCK)))
+    total = _pairwise_sum([d2 for d2, _ in blocks])
+    np.cumsum(total, out=total)
+    np.cumsum(total, out=total)
+    flip_counts = np.concatenate([c for _, c in blocks])
 
     values = np.empty(n_steps + 1, dtype=np.float64)
     values[0] = 0.0
     values[1:] = model.a_h * total / (n_steps**model.h * np.sqrt(n_paths))
-    elapsed = time.perf_counter() - t0
+    t2 = time.perf_counter()
     steps = n_steps * n_paths
     meta = {
         "mode": mode,
@@ -153,8 +208,14 @@ def generate_fbm(
         "stream_version": STREAM_VERSION,
         "resample_total": int(sum(counts)),
         "resample_max": int(max(counts)),
-        "elapsed_s": elapsed,
-        "throughput_steps_per_s": steps / elapsed if elapsed > 0 else float("inf"),
+        "flips_total": int(flip_counts.sum()),
+        "flips_per_path": _spread(flip_counts),
+        "p": _spread(ps),
+        "keep": _spread(keeps),
+        "params_s": t1 - t0,
+        "walk_s": t2 - t1,
+        "elapsed_s": t2 - t0,
+        "throughput_steps_per_s": steps / (t2 - t0) if t2 > t0 else float("inf"),
     }
     return AggregatedPath(
         h=model.h,

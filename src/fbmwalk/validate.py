@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels as kernels
-from .aggregate import generate_fbm, renewal_keep
+from .aggregate import _walk_levels, generate_fbm, renewal_keep
 from .estimators import estimate_report
 from .fgn import HurstModel, theoretical_mixture_correlation
 from .gaussian import dichotomized_gaussian_walk, fgn_cholesky_factor
@@ -103,8 +102,11 @@ def _check_paper_chain_law(
     rho = float(renewal_keep("paper", p, model))
     walks = []
     for _ in range(reps):
-        levels = kernels.renewal_levels(rng.random(steps), p, rho)
-        walks.append(np.diff(levels, prepend=np.int64(0)).astype(np.float64))
+        up, flips = _walk_levels(rng, steps, p, rho)
+        # the walk's +-1 steps: the sign of the first bit, reversed at each flip
+        bounds = np.concatenate(([0], flips, [steps]))
+        signs = np.where(np.arange(len(bounds) - 1) % 2 == 0, 1.0, -1.0) * (1.0 if up else -1.0)
+        walks.append(np.repeat(signs, np.diff(bounds)))
     mean, se = _acf_with_se(walks, 2.0 * p - 1.0, 5)
     lag_law = rho ** np.arange(1, 6)  # a renewal chain decays as keep^n
     prop2 = np.array([float(n_step_correlation(p, model, n)) for n in range(1, 6)])

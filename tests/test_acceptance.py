@@ -39,7 +39,7 @@ from fbmwalk.gaussian import dichotomized_gaussian_walk, fgn_cholesky_factor
 from fbmwalk.sampling import P_FLOOR, feasibility_threshold, solve_p_batch
 from fbmwalk.validate import jarque_bera, replicate_spread
 
-from conftest import acf_known_mean, replicate_se
+from conftest import acf_known_mean, expand_steps, replicate_se
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -236,7 +236,7 @@ def test_criterion_6_inversion_roundtrip(h):
 
 
 def test_criterion_7_paper_chain_law():
-    import fbmwalk._kernels as kernels
+    from fbmwalk.aggregate import _walk_levels
 
     model = HurstModel(0.7)
     p = 0.3
@@ -245,7 +245,7 @@ def test_criterion_7_paper_chain_law():
     rng = np.random.default_rng(77)
     rows = []
     for _ in range(reps):
-        inc = np.diff(kernels.renewal_levels(rng.random(steps), p, rho), prepend=np.int64(0))
+        inc = expand_steps(*_walk_levels(rng, steps, p, rho), steps)
         rows.append(acf_known_mean(inc, 2.0 * p - 1.0, 5))
     rows = np.array(rows)
     mean = rows.mean(axis=0)

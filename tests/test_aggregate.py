@@ -5,28 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fbmwalk._kernels as kernels
 from fbmwalk import (
     HurstModel,
     generate_fbm,
     scaling_constant,
     theoretical_mixture_correlation,
 )
-from fbmwalk.aggregate import _pairwise_sum, renewal_keep, standardized_levels
+from fbmwalk.aggregate import _pairwise_sum, _walk_levels, renewal_keep, standardized_levels
 from fbmwalk.estimators import empirical_acf
 from fbmwalk.link import sigma_max
 from fbmwalk.sampling import _draw_target, draw_persistence, solve_p_batch
 from fbmwalk.validate import jarque_bera
 
-from conftest import acf_known_mean
+from conftest import acf_known_mean, expand_steps
 
 # ---------------------------------------------------------------- reduction
 
 
 def test_accumulate_identity_and_linearity(model_07):
     karr = np.arange(1, 9, dtype=np.float64)
-    # all-up walk at p=1/2: standardized level at step k is exactly k
-    up = standardized_levels(np.arange(1, 9, dtype=np.int64), 0.5, karr)
+    # all-up walk at p=1/2: the standardized step is 1, so the level at step k is exactly k
+    d2 = np.zeros(8)
+    standardized_levels(d2, True, np.empty(0, dtype=np.int64), 0.5)
+    up = np.cumsum(np.cumsum(d2))
     assert np.array_equal(up, karr)
     assert np.array_equal(_pairwise_sum([up]), up)  # a single trajectory is the identity
     assert np.array_equal(_pairwise_sum([up, up]), 2.0 * karr)
@@ -86,42 +87,60 @@ def test_worker_count_invariance_property(h, n, m, seed, mode, workers):
     assert np.array_equal(ref.values, out.values)
 
 
-def _standalone_trajectory(model, mode: str, n: int, child) -> np.ndarray:
-    """Standardised levels of one trajectory, rebuilt from its child stream.
+def _standalone_sum(model, mode: str, n: int, m_paths: int, seed: int) -> np.ndarray:
+    """The aggregate values at steps 1..n, rebuilt densely from the same events.
 
-    The stream is consumed in the documented order: the parameter draw
-    first, then exactly n step uniforms.
+    Each trajectory's child stream is consumed in the documented order: the
+    parameter draw first, then the walk's first bit and sojourns.  Each walk
+    is expanded to its +-1 steps, standardised in float64 and summed in
+    trajectory order.
     """
-    rng = np.random.Generator(np.random.PCG64(child))
+    rngs = [np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(m_paths)]
     persistence = None
     if mode == "enriquez":
-        p, persistence = 0.5, draw_persistence(rng, model)
+        ps = np.full(m_paths, 0.5)
+        persistence = np.array([draw_persistence(rng, model) for rng in rngs])
     else:
-        _, target, _ = _draw_target(rng, model, sigma_max(model))
-        p = float(solve_p_batch(np.array([target]), model)[0])
-    keep = float(renewal_keep(mode, p, model, persistence))
-    levels = kernels.renewal_levels(rng.random(n), p, keep)
+        s_max = sigma_max(model)
+        ps = solve_p_batch(np.array([_draw_target(rng, model, s_max)[1] for rng in rngs]), model)
+    keeps = np.asarray(renewal_keep(mode, ps, model, persistence))
     k = np.arange(1, n + 1)
-    return (levels - k * (2.0 * p - 1.0)) / np.sqrt(4.0 * p * (1.0 - p))
+    total = np.zeros(n)
+    for rng, p, keep in zip(rngs, ps.tolist(), keeps.tolist()):
+        levels = np.cumsum(expand_steps(*_walk_levels(rng, n, p, keep), n))
+        total += (levels - k * (2.0 * p - 1.0)) / np.sqrt(4.0 * p * (1.0 - p))
+    return model.a_h * total / (n**model.h * math.sqrt(m_paths))
 
 
 def test_matches_standalone_trajectories(model_07):
     """The aggregate equals trajectories rebuilt one by one and summed in order.
 
     generate_fbm spawns child streams from the master seed and trajectory i
-    reads only child i.  The in-order sum here differs from generate_fbm's
-    pairwise block reduction only by rounding (1e-12).
+    reads only child i.  The dense sum here differs from generate_fbm's
+    scattered flips and prefix sums only by rounding (1e-12).
     """
     n, m_paths = 47, 9
     for mode in ("paper", "enriquez"):
-        children = np.random.SeedSequence(11).spawn(m_paths)
-        total = np.zeros(n)
-        for i in range(m_paths):
-            total += _standalone_trajectory(model_07, mode, n, children[i])
-        manual = model_07.a_h * total / (n**model_07.h * math.sqrt(m_paths))
+        manual = _standalone_sum(model_07, mode, n, m_paths, seed=11)
         auto = generate_fbm(model_07, n, m_paths, mode=mode, seed=11)
         assert auto.values[0] == 0.0
         assert np.max(np.abs(manual - auto.values[1:])) <= 1e-12, mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.floats(0.55, 0.95),
+    n=st.integers(2, 2000),
+    m=st.integers(1, 130),
+    seed=st.integers(0, 2**64 - 1),
+    mode=st.sampled_from(["paper", "enriquez"]),
+)
+def test_event_aggregate_matches_dense_expansion(h, n, m, seed, mode):
+    # M up to 130 spans two full 64-trajectory blocks and a partial one
+    model = HurstModel(h)
+    dense = _standalone_sum(model, mode, n, m, seed)
+    event = generate_fbm(model, n, m, mode=mode, seed=seed).values[1:]
+    assert np.max(np.abs(event - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_meta_records_run(model_07):
@@ -133,7 +152,12 @@ def test_meta_records_run(model_07):
     assert meta["resample_total"] >= 0
     assert meta["throughput_steps_per_s"] > 0
     assert meta["backend"] == "numpy"
-    assert meta["stream_version"] == 3
+    assert meta["stream_version"] == 4
+    assert meta["flips_total"] > 0
+    assert meta["flips_per_path"]["min"] <= meta["flips_per_path"]["median"] <= meta["flips_per_path"]["max"]
+    assert 0.0 < meta["p"]["min"] <= meta["p"]["max"] <= 0.5
+    assert 0.0 <= meta["keep"]["min"] <= meta["keep"]["max"] <= 1.0
+    assert meta["params_s"] > 0 and meta["walk_s"] > 0
 
 
 def test_config_validation(model_07):

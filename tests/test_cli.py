@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -26,7 +27,7 @@ def test_generate_csv_schema(tmp_path):
     assert meta["paths"] == 8
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
-    assert meta["stream_version"] == 3
+    assert meta["stream_version"] == 4
     assert "resample_total" in meta and "wall_time_s" in meta
 
 
@@ -48,6 +49,33 @@ def test_generate_worker_invariant_bytes(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_generate_walk_telemetry_worker_invariant(tmp_path):
+    # flip counts and the spread of p and keep are fixed by (config, seed); timings are not
+    sidecars = []
+    for w in (1, 2):
+        out = tmp_path / f"w{w}.csv"
+        assert run(
+            ["generate", "--hurst", 0.7, "--steps", 300, "--paths", 70, "--seed", 4, "--workers", w, "--out", out]
+        ) == 0
+        sidecars.append(json.loads((tmp_path / f"w{w}.csv.meta.json").read_text()))
+    fields = ("flips_total", "flips_per_path", "p", "keep")
+    assert [{k: s[k] for k in fields} for s in sidecars] == [{k: sidecars[0][k] for k in fields}] * 2
+    assert sidecars[0]["flips_total"] > 0
+    assert set(sidecars[0]["p"]) == {"min", "median", "max"}
+    assert all(s["params_s"] > 0 and s["walk_s"] > 0 for s in sidecars)
+
+
+def test_generate_enriquez_near_one_hurst(tmp_path):
+    # at H = 0.999 most drawn persistences round to 1, where the walk never flips
+    out = tmp_path / "e.csv"
+    argv = ["generate", "--hurst", 0.999, "--mode", "enriquez", "--steps", 4096, "--paths", 64, "--out", out]
+    assert run(argv) == 0
+    values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert len(values) == 4097 and all(math.isfinite(v) for v in values)
+    meta = json.loads((tmp_path / "e.csv.meta.json").read_text())
+    assert meta["keep"]["max"] == 1.0 and meta["flips_per_path"]["min"] == 0
+
+
 def test_generate_gaussian_oracle_schema(tmp_path):
     out = tmp_path / "g.csv"
     assert run(["generate", "--hurst", 0.85, "--steps", 512, "--mode", "gaussian-oracle", "--seed", 2, "--out", out]) == 0
@@ -56,7 +84,7 @@ def test_generate_gaussian_oracle_schema(tmp_path):
     assert lines[1] == "0,0.0"
     assert len(lines) == 514
     meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-    assert meta["stream_version"] == 3
+    assert meta["stream_version"] == 4
 
 
 def test_generate_oracle_sidecar_omits_walk_options(tmp_path):

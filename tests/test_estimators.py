@@ -9,7 +9,7 @@ from fbmwalk.estimators import (
 )
 from fbmwalk.gaussian import fgn_cholesky_factor
 
-from conftest import replicate_se
+from conftest import expand_steps, replicate_se
 
 
 def _oracle_paths(h: float, n: int, seeds, scale=True):
@@ -124,14 +124,13 @@ def test_acf_white_noise_bounds():
 
 def test_acf_persistent_walk_law():
     # fixed persistence 0.75: increments correlate as (2 rho - 1)^n = 0.5^n
-    import fbmwalk._kernels as kernels
+    from fbmwalk.aggregate import _walk_levels
 
     rng = np.random.default_rng(18)
     reps = 20
     rows = []
     for _ in range(reps):
-        u = rng.random(50_000)
-        inc = np.diff(kernels.renewal_levels(u, 0.5, 0.5), prepend=np.int64(0))
+        inc = expand_steps(*_walk_levels(rng, 50_000, 0.5, 0.5), 50_000)
         rows.append(empirical_acf(inc.astype(np.float64), 5))
     rows = np.array(rows)
     mean = rows.mean(axis=0)

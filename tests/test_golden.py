@@ -13,14 +13,14 @@ from fbmwalk.aggregate import STREAM_VERSION
 from fbmwalk.cli import main
 
 # the stream version the digests below were taken at
-DIGEST_STREAM_VERSION = 3
+DIGEST_STREAM_VERSION = 4
 WALK_DIGESTS = {
-    "paper": "e2eb8e1913daa00ea42fc4f425a8cff1f5ef4bd890b2738c1a29f65c1c348d07",
-    "enriquez": "e41b5d94f0818258cd2f92ed61f871942100ade86403a5405c40825ad1223883",
+    "paper": "7f43995ebc2dcb9bae68e71f2072470198cd2463909daaaef98653cb62e22c25",
+    "enriquez": "c7990a0fd588b7256bd13a40c892e3364c976336f261e2e0563297806bdce524",
 }
 ORACLE_DIGEST = "db571975bb7b0d7f5fbe56bd81d432b436b72142f2bd815d7e60c79747a9a2d1"
 # H=0.98 puts delta1 above 0.925, the range stream version 2 changed
-PAPER_H098_DIGEST = "6fa823106f5cc2043007401b79db9aa924f1bd76c9f47344890cad303ab98327"
+PAPER_H098_DIGEST = "1ee969d236d14bea27dbea3e66ae4888ca4456b244cb6a73c3ed1bf3d586434f"
 
 
 def _digest(tmp_path, argv, hurst: str = "0.7") -> str:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import fbmwalk._kernels as kernels
 from fbmwalk import (
     HurstModel,
     generate_fbm,
@@ -14,7 +13,7 @@ from fbmwalk import (
 from fbmwalk.aggregate import _walk_levels
 from fbmwalk.sampling import draw_persistence
 
-from conftest import replicate_se
+from conftest import expand_steps, replicate_se
 
 
 def chain_corr_enumeration(p: float, rho: float) -> float:
@@ -43,7 +42,7 @@ def test_paper_kernel_pure_persistence():
     # rho = 1 never renews, so every step repeats the first one
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        steps = np.diff(kernels.renewal_levels(rng.random(64), 0.3, 1.0), prepend=0)
+        steps = expand_steps(*_walk_levels(rng, 64, 0.3, 1.0), 64)
         assert np.all(steps == steps[0])
 
 
@@ -53,7 +52,7 @@ def test_paper_kernel_marginal(model_07):
     rng = np.random.default_rng(8)
     means = []
     for _ in range(reps):
-        inc = np.diff(kernels.renewal_levels(rng.random(n), p, rho), prepend=0)
+        inc = expand_steps(*_walk_levels(rng, n, p, rho), n)
         means.append(float(np.mean(inc == 1)))
     se = replicate_se(means)
     assert abs(np.mean(means) - p) <= 3 * se
@@ -63,9 +62,11 @@ def test_paper_kernel_marginal(model_07):
 
 
 def test_single_step_trajectory():
-    # N = 1: the kernel returns the single first step, +-1, at each mode's (p, keep)
+    # N = 1: no flip, and the single first step is +-1, at each mode's (p, keep)
     for p, keep in ((0.3, 0.7), (0.3, 0.2), (0.5, 0.5)):
-        levels = _walk_levels(np.random.default_rng(5), 1, p, keep)
+        up, flips = _walk_levels(np.random.default_rng(5), 1, p, keep)
+        assert flips.size == 0
+        levels = np.cumsum(expand_steps(up, flips, 1))
         assert levels.shape == (1,)
         assert levels[0] in (-1, 1)
 
@@ -82,7 +83,7 @@ def test_trajectory_parity_invariant(model_07):
     for mode in ("paper", "enriquez"):
         p = 0.5 if mode == "enriquez" else 0.3
         keep = float(renewal_keep(mode, p, model_07, persistence=0.75))
-        levels = _walk_levels(np.random.default_rng(9), 257, p, keep)
+        levels = np.cumsum(expand_steps(*_walk_levels(np.random.default_rng(9), 257, p, keep), 257))
         k = np.arange(1, 258)
         assert np.all((levels - k) % 2 == 0)
         assert set(np.unique(np.diff(levels, prepend=0))) <= {-1, 1}
@@ -117,7 +118,7 @@ def test_enriquez_trajectory_carries_persistence(model_07):
     rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
     rho = draw_persistence(rng, model_07)
     assert 0.5 <= rho <= 1.0
-    levels = kernels.renewal_levels(rng.random(n), 0.5, 2.0 * rho - 1.0)
+    levels = np.cumsum(expand_steps(*_walk_levels(rng, n, 0.5, 2.0 * rho - 1.0), n))
     path = generate_fbm(model_07, n, 1, mode="enriquez", seed=3)
     assert np.array_equal(path.values[1:], model_07.a_h * levels / n**model_07.h)
 
@@ -164,10 +165,9 @@ def test_empirical_lag_law_per_mode(model_07):
 
     acc = {"paper": [], "enriquez": []}
     for _ in range(reps):
-        u_paper, u = rng.random(steps), rng.random(steps)
-        inc = np.diff(kernels.renewal_levels(u_paper, p, rho), prepend=np.int64(0))
+        inc = expand_steps(*_walk_levels(rng, steps, p, rho), steps)
         acc["paper"].append(empirical_acf(inc.astype(np.float64), 5))
-        inc = np.diff(kernels.renewal_levels(u, 0.5, 0.5), prepend=np.int64(0))  # rho = 0.75
+        inc = expand_steps(*_walk_levels(rng, steps, 0.5, 0.5), steps)  # rho = 0.75
         acc["enriquez"].append(empirical_acf(inc.astype(np.float64), 5))
 
     laws = {
@@ -193,7 +193,7 @@ def test_stationary_marginal_all_modes(model_07):
     rng = np.random.default_rng(31)
     props = []
     for _ in range(reps):
-        inc = np.diff(kernels.renewal_levels(rng.random(steps), p, rho), prepend=np.int64(0))
+        inc = expand_steps(*_walk_levels(rng, steps, p, rho), steps)
         props.append(float(np.mean(inc == 1)))
     se = replicate_se(props)
     assert abs(np.mean(props) - p) <= 4 * se
