@@ -4,9 +4,9 @@ The standardised sum is linear in the walks, so no walk is expanded step by
 step: each trajectory draws its first bit and the geometric sojourns of its
 bit, and scatters its standardised first step and its weighted flips into
 the second-difference array of its 64-trajectory block.  The block arrays
-are summed in a fixed pairwise order, two prefix sums turn the result into
-the summed standardised levels, and the sum is rescaled by
-``a_H / (N^H sqrt(M))``.  Every trajectory owns a generator spawned
+are summed in a fixed order (pairwise within groups of 16 blocks, groups in
+index order), two prefix sums turn the result into the summed standardised
+levels, and the sum is rescaled by ``a_H / (N^H sqrt(M))``.  Every trajectory owns a generator spawned
 deterministically from the master seed and a block is one unit of work, so
 output is byte-identical for any worker count.
 """
@@ -40,6 +40,7 @@ BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 # flips (every walk mode moved; the oracle did not).
 STREAM_VERSION = 4
 _BLOCK = 64  # trajectories per pool task; fixed so results never depend on workers
+_GROUP = 16  # blocks summed pairwise at a time, so at most 16 block arrays are held
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,18 @@ def generate_fbm(
             n_flips[i - start] = len(flips)
         return d2, n_flips
 
+    total = np.zeros(n_steps, dtype=np.float64)
+    flip_counts = []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        blocks = list(mapper(block, range(0, n_paths, _BLOCK)))
-    total = _pairwise_sum([d2 for d2, _ in blocks])
+        for first in range(0, n_paths, _GROUP * _BLOCK):
+            starts = range(first, min(first + _GROUP * _BLOCK, n_paths), _BLOCK)
+            blocks = list(mapper(block, starts))
+            total += _pairwise_sum([d2 for d2, _ in blocks])
+            flip_counts += [n_flips for _, n_flips in blocks]
     np.cumsum(total, out=total)
     np.cumsum(total, out=total)
-    flip_counts = np.concatenate([c for _, c in blocks])
+    flip_counts = np.concatenate(flip_counts)
 
     values = np.empty(n_steps + 1, dtype=np.float64)
     values[0] = 0.0

@@ -63,11 +63,12 @@ def test_same_seed_same_bytes(model_07):
 
 
 def test_worker_count_invariance(model_07):
-    for mode in ("paper", "enriquez"):
-        ref = generate_fbm(model_07, 96, 25, mode=mode, seed=3, workers=1)
+    # M = 1100 spans two groups of 16 reduction blocks
+    for mode, m_paths in (("paper", 25), ("enriquez", 25), ("paper", 1100)):
+        ref = generate_fbm(model_07, 96, m_paths, mode=mode, seed=3, workers=1)
         for w in (2, 8):
-            out = generate_fbm(model_07, 96, 25, mode=mode, seed=3, workers=w)
-            assert np.array_equal(ref.values, out.values), (mode, w)
+            out = generate_fbm(model_07, 96, m_paths, mode=mode, seed=3, workers=w)
+            assert np.array_equal(ref.values, out.values), (mode, m_paths, w)
 
 
 @settings(max_examples=100, deadline=None)
