@@ -6,9 +6,10 @@ bit, and scatters its standardised first step and its weighted flips into
 the second-difference array of its 64-trajectory block.  The block arrays
 are summed in a fixed order (pairwise within groups of 16 blocks, groups in
 index order), two prefix sums turn the result into the summed standardised
-levels, and the sum is rescaled by ``a_H / (N^H sqrt(M))``.  Every trajectory owns a generator spawned
-deterministically from the master seed and a block is one unit of work, so
-output is byte-identical for any worker count.
+levels, and the sum is rescaled by ``a_H / (N^H sqrt(M))``.  Every
+trajectory owns a generator spawned deterministically from the master seed
+and a block is one unit of work, so output is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ def generate_fbm(
         stop = min(start + _BLOCK, n_paths)
         n_flips = np.empty(stop - start, dtype=np.int64)
         for i in range(start, stop):
-            up, flips = _walk_levels(rngs[i], n_steps, float(ps[i]), float(keeps[i]))
-            standardized_levels(d2, up, flips, float(ps[i]))
+            p = float(ps[i])
+            up, flips = _walk_levels(rngs[i], n_steps, p, float(keeps[i]))
+            standardized_levels(d2, up, flips, p)
             n_flips[i - start] = len(flips)
         return d2, n_flips
 
