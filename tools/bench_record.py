@@ -1,7 +1,7 @@
 """Record the benchmark's end-to-end medians for this checkout and its parent.
 
     python3 tools/bench_record.py --out BENCH.json [--parent HEAD~1] [--pairs 3]
-                                  [--seed 1] [--seconds 20] [--workloads NAME ...]
+                                  [--seed 1] [--seconds 20]
 
 Runs ``perfbench/run.py --trace 0`` on each workload of ``perfbench/run.py``,
 once per pair on this checkout and once on the parent commit, alternating
@@ -80,7 +80,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=3, help="runs per side and workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0, help="run length of each perfbench run")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=list(WORKLOADS))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -89,9 +88,9 @@ def main(argv=None) -> int:
     try:
         export(args.parent, scratch)
         trees = {"current": ROOT, "parent": scratch / "tree"}
-        runs = {side: {w: [] for w in args.workloads} for side in trees}
+        runs = {side: {w: [] for w in WORKLOADS} for side in trees}
         for pair in range(args.pairs):
-            for workload in args.workloads:
+            for workload in WORKLOADS:
                 order = ("current", "parent") if pair % 2 == 0 else ("parent", "current")
                 for side in order:
                     run = bench(trees[side], workload, args.seed, args.seconds)
