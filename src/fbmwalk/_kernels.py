@@ -27,3 +27,14 @@ def renewal_flips(sojourns: np.ndarray, n: int, start: int = 0) -> np.ndarray:
     np.cumsum(at, out=at)
     at += start
     return at[: np.searchsorted(at, n)]
+
+
+def expand_steps(up: bool, flips, n: int) -> np.ndarray:
+    """The +-1 steps of a walk of n steps from its first bit and its flip steps.
+
+    The first step is +1 when the first bit is 1, and the sign reverses at
+    each flip.  The reference expansion of the event route, for checks only.
+    """
+    bounds = np.concatenate(([0], np.asarray(flips, dtype=np.int64), [n]))
+    signs = np.where(np.arange(len(bounds) - 1) % 2 == 0, 1, -1) * (1 if up else -1)
+    return np.repeat(signs, np.diff(bounds)).astype(np.int64)

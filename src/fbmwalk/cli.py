@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=modes, default="paper")
 
     def workers_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=1, help="worker threads (never changes output bytes)")
+        p.add_argument("--workers", type=int, default=1, help="recorded in the sidecar only; the walks run in one thread")
 
     g = sub.add_parser("generate", help="generate a path and write CSV/JSON plus metadata sidecar")
     common(g, paths_default=1024, modes=(*_WALK_MODES, "gaussian-oracle"))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import expand_steps
 from .aggregate import _walk_levels, generate_fbm, renewal_keep
 from .estimators import estimate_report
 from .fgn import HurstModel, theoretical_mixture_correlation
@@ -102,11 +103,7 @@ def _check_paper_chain_law(
     rho = float(renewal_keep("paper", p, model))
     walks = []
     for _ in range(reps):
-        up, flips = _walk_levels(rng, steps, p, rho)
-        # the walk's +-1 steps: the sign of the first bit, reversed at each flip
-        bounds = np.concatenate(([0], flips, [steps]))
-        signs = np.where(np.arange(len(bounds) - 1) % 2 == 0, 1.0, -1.0) * (1.0 if up else -1.0)
-        walks.append(np.repeat(signs, np.diff(bounds)))
+        walks.append(expand_steps(*_walk_levels(rng, steps, p, rho), steps))
     mean, se = _acf_with_se(walks, 2.0 * p - 1.0, 5)
     lag_law = rho ** np.arange(1, 6)  # a renewal chain decays as keep^n
     prop2 = np.array([float(n_step_correlation(p, model, n)) for n in range(1, 6)])
@@ -263,18 +260,6 @@ def _check_gaussianity(
     )
 
 
-def _check_determinism(model: HurstModel, seed: int) -> Check:
-    a = generate_fbm(model, 256, 48, mode="paper", seed=seed, workers=1)
-    b = generate_fbm(model, 256, 48, mode="paper", seed=seed, workers=2)
-    same = bool(np.array_equal(a.values, b.values))
-    return Check(
-        name="worker_count_determinism",
-        passed=same,
-        hard=True,
-        details={"n_steps": 256, "n_paths": 48},
-    )
-
-
 def run_validation(
     model: HurstModel,
     seed: int = 0,
@@ -293,7 +278,6 @@ def run_validation(
         _check_density_mass(model),
         _check_dichotomized_oracle(model, rng),
         _check_gaussianity(model, rng, n_steps=512, n_paths=64, runs=runs),
-        _check_determinism(model, seed),
     ]
     return checks
 

@@ -38,9 +38,3 @@ def acf_known_mean(x, mean: float, max_lag: int) -> np.ndarray:
     n = x.shape[0]
     return np.array([float(np.dot(x[: n - k], x[k:])) / denom for k in range(1, max_lag + 1)])
 
-
-def expand_steps(up: bool, flips, n: int) -> np.ndarray:
-    """The +-1 steps of a walk of n steps from its first bit and its flip steps."""
-    bounds = np.concatenate(([0], np.asarray(flips, dtype=np.int64), [n]))
-    signs = np.where(np.arange(len(bounds) - 1) % 2 == 0, 1, -1) * (1 if up else -1)
-    return np.repeat(signs, np.diff(bounds)).astype(np.int64)

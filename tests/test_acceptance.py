@@ -34,12 +34,13 @@ from fbmwalk import (
     std_normal_quantile,
     theoretical_mixture_correlation,
 )
+from fbmwalk._kernels import expand_steps
 from fbmwalk.cli import main as cli_main
 from fbmwalk.gaussian import dichotomized_gaussian_walk, fgn_cholesky_factor
 from fbmwalk.sampling import P_FLOOR, feasibility_threshold, solve_p_batch
 from fbmwalk.validate import jarque_bera, replicate_spread
 
-from conftest import acf_known_mean, expand_steps, replicate_se
+from conftest import acf_known_mean, replicate_se
 
 
 def report(num: int, ok: bool, detail: str) -> bool:

@@ -11,13 +11,14 @@ from fbmwalk import (
     scaling_constant,
     theoretical_mixture_correlation,
 )
+from fbmwalk._kernels import expand_steps
 from fbmwalk.aggregate import _pairwise_sum, _walk_levels, renewal_keep, standardized_levels
 from fbmwalk.estimators import empirical_acf
 from fbmwalk.link import sigma_max
 from fbmwalk.sampling import _draw_target, draw_persistence, solve_p_batch
 from fbmwalk.validate import jarque_bera
 
-from conftest import acf_known_mean, expand_steps
+from conftest import acf_known_mean
 
 # ---------------------------------------------------------------- reduction
 

@@ -7,9 +7,10 @@ from fbmwalk.estimators import (
     InsufficientLengthError,
     estimate_report,
 )
+from fbmwalk._kernels import expand_steps
 from fbmwalk.gaussian import fgn_cholesky_factor
 
-from conftest import expand_steps, replicate_se
+from conftest import replicate_se
 
 
 def _oracle_paths(h: float, n: int, seeds, scale=True):

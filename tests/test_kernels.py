@@ -3,9 +3,9 @@
 import numpy as np
 
 import fbmwalk._kernels as kernels
+from fbmwalk._kernels import expand_steps
 from fbmwalk.aggregate import _walk_levels
 
-from conftest import expand_steps
 
 INT64_MAX = np.iinfo(np.int64).max
 

@@ -10,10 +10,11 @@ from fbmwalk import (
     persistence_from_p,
     renewal_keep,
 )
+from fbmwalk._kernels import expand_steps
 from fbmwalk.aggregate import _walk_levels
 from fbmwalk.sampling import draw_persistence
 
-from conftest import expand_steps, replicate_se
+from conftest import replicate_se
 
 
 def chain_corr_enumeration(p: float, rho: float) -> float:

@@ -1,11 +1,10 @@
 """Record the benchmark's end-to-end medians for this checkout and its parent.
 
-    python3 tools/bench_record.py --out BENCH.json [--parent HEAD~1] [--pairs 3]
-                                  [--seed 1] [--seconds 20]
+    python3 tools/bench_record.py --out BENCH.json [--parent HEAD~1]
 
-Runs ``perfbench/run.py --trace 0`` on each workload of ``perfbench/run.py``,
-once per pair on this checkout and once on the parent commit, alternating
-which side runs first.  The parent runs from a scratch copy of that commit
+Runs ``perfbench/run.py --trace 0 --seed 1 --seconds 20`` on each workload of
+``perfbench/run.py``, once per pair on this checkout and once on the parent
+commit, for 10 pairs, alternating which side runs first.  The parent runs from a scratch copy of that commit
 (``git archive`` into a temporary directory, removed afterwards), so both
 sides run their own benchmark code with the same settings.  The JSON written
 to ``--out`` holds, per side and workload, every run's metrics, failure
@@ -30,6 +29,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import WORKLOADS  # noqa: E402
 
+PAIRS = 10  # alternating pairs per workload, the count a claimed gain is judged on
+SEED = 1
+SECONDS = 20  # the benchmark's run length
+
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
@@ -45,10 +48,10 @@ def export(ref: str, into: Path) -> None:
     archive.unlink()
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str) -> dict:
     """One ``perfbench/run.py --trace 0`` run in ``tree``: its last line and record."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -77,23 +80,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--parent", default="HEAD~1", help="git ref of the commit to compare with")
-    parser.add_argument("--pairs", type=int, default=3, help="runs per side and workload")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0, help="run length of each perfbench run")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_record_"))
     try:
         export(args.parent, scratch)
         trees = {"current": ROOT, "parent": scratch / "tree"}
         runs = {side: {w: [] for w in WORKLOADS} for side in trees}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for workload in WORKLOADS:
                 order = ("current", "parent") if pair % 2 == 0 else ("parent", "current")
                 for side in order:
-                    run = bench(trees[side], workload, args.seed, args.seconds)
+                    run = bench(trees[side], workload)
                     runs[side][workload].append(run)
                     shown = run.get("metrics", {}).get("wall_s")
                     print(f"pair {pair} {workload:15s} {side:8s} wall_s {shown}", file=sys.stderr)
@@ -102,9 +100,9 @@ def main(argv=None) -> int:
 
     doc = {
         "command": "perfbench/run.py --trace 0",
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "seed": SEED,
+        "seconds": SECONDS,
+        "pairs": PAIRS,
         "current": {"git_sha": git("rev-parse", "HEAD").strip(),
                     "worktree_clean": not git("status", "--porcelain", "--untracked-files=no").strip()},
         "parent": {"ref": args.parent, "git_sha": git("rev-parse", args.parent).strip()},
