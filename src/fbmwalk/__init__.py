@@ -1,12 +1,12 @@
 """fbmwalk: fractional Brownian motion from aggregated correlated random walks.
 
 Thresholded-Gaussian link formulas, marginal-parameter sampling, two walk
-modes (``paper`` and ``enriquez``), deterministic parallel aggregation, exact
+modes (``paper`` and ``enriquez``), deterministic event-driven aggregation, exact
 Cholesky oracles and Hurst estimators, behind one CLI
 (``fbmwalk generate|estimate|validate|spread``).
 """
 
-from .aggregate import BACKEND, AggregatedPath, generate_fbm, renewal_keep
+from .aggregate import BACKEND, AggregatedPath, generate_fbm, walk_parameters
 from .estimators import (
     EstimateReport,
     aggregated_variance_hurst,
@@ -39,7 +39,7 @@ __all__ = [
     "__version__",
     "AggregatedPath",
     "generate_fbm",
-    "renewal_keep",
+    "walk_parameters",
     "EstimateReport",
     "aggregated_variance_hurst",
     "dsod_hurst",

@@ -2,8 +2,8 @@
 
 Every walk mode is one renewal chain on a bit: keep the previous bit with
 probability ``keep``, otherwise redraw it as Bernoulli(p).  The modes differ
-only in the pair (p, keep), which ``aggregate.renewal_keep`` supplies.  The
-bit is a two-state Markov chain: it leaves 1 with probability
+only in the pair (p, keep), which ``aggregate.walk_parameters`` maps from a
+uniform.  The bit is a two-state Markov chain: it leaves 1 with probability
 (1 - keep)(1 - p) per step and 0 with (1 - keep) p, so the runs of equal bits
 (sojourns) are geometric and alternate between the two states.  A walk is
 fixed by its first bit and the steps at which the bit flips.

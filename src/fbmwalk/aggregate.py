@@ -6,9 +6,13 @@ bit, and scatters its standardised first step and its weighted flips into
 the second-difference array of its 64-trajectory block.  The block arrays
 are summed in a fixed order (pairwise within groups of 16 blocks, groups in
 index order), two prefix sums turn the result into the summed standardised
-levels, and the sum is rescaled by ``a_H / (N^H sqrt(M))``.  Every
-trajectory owns a generator spawned deterministically from the master seed,
-and the walks run in one thread: each is a dozen short numpy calls under the
+levels, and the sum is rescaled by ``a_H / (N^H sqrt(M))``.
+
+Each walk's parameters (p, keep) are one map of one uniform, vectorised
+over all M walks (``walk_parameters``).  Every 64-trajectory block owns a
+generator spawned deterministically from the master seed: it first gives
+the block's uniforms, then walks the block's trajectories in order.  The
+walks run in one thread: each is a dozen short numpy calls under the
 interpreter lock, and a second thread gained at most 8%.
 """
 
@@ -22,12 +26,14 @@ import numpy as np
 
 from . import _kernels as kernels
 from .fgn import HurstModel
-# perfbench/layers.py times the link layer by wrapping this module's
-# persistence_from_p and n_step_correlation, so both stay importable here
-from .link import n_step_correlation, persistence_from_p, sigma_max  # noqa: F401
+# perfbench/layers.py times the parameter map's stages by wrapping
+# _draw_target, solve_p_batch, persistence_from_p, n_step_correlation and
+# draw_persistence here, so each stays importable and is called through
+# this module's globals
+from .link import n_step_correlation, persistence_from_p  # noqa: F401
 from .sampling import _draw_target, draw_persistence, solve_p_batch
 
-__all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm", "renewal_keep"]
+__all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm", "walk_parameters"]
 
 BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 # Version of the output stream, recorded in every sidecar: raised whenever the
@@ -36,9 +42,11 @@ BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 # 3: one renewal kernel reading one uniform per step, and one 20-point
 # quadrature rule (every walk mode moved; the oracle did not).  4: each walk
 # is drawn as its first bit and geometric sojourns, and aggregated from its
-# flips (every walk mode moved; the oracle did not).
-STREAM_VERSION = 4
-_BLOCK = 64  # trajectories scattered into one second-difference array
+# flips (every walk mode moved; the oracle did not).  5: one uniform per walk
+# mapped to (p, keep), and one generator per 64-trajectory block (every walk
+# mode moved; the oracle did not).
+STREAM_VERSION = 5
+_BLOCK = 64  # trajectories sharing one generator and one second-difference array
 _GROUP = 16  # blocks summed pairwise at a time, so at most 16 block arrays are held
 
 
@@ -74,21 +82,19 @@ def standardized_levels(d2: np.ndarray, up: bool, flips: np.ndarray, p: float) -
     np.add.at(d2, flips[1::2], -jump)
 
 
-def renewal_keep(mode: str, p, model: HurstModel, persistence=None):
-    """Probability that the mode's renewal chain keeps its previous bit.
+def walk_parameters(mode: str, u: np.ndarray, model: HurstModel) -> tuple[np.ndarray, np.ndarray]:
+    """Each walk's (p, keep) from its uniform in [0, 1): the mode's parameter law.
 
-    ``paper`` keeps with rho(p) and ``enriquez`` (p = 1/2) with 2 rho - 1 for
-    the supplied persistence rho.  A renewal chain's lag-n increment
-    correlation is keep^n (the second eigenvalue of its transition matrix is
-    keep).  ``p`` and ``persistence`` are scalars (a float is returned) or
-    arrays.
+    ``paper`` solves sigma1(p) = t(u u_max) for p and keeps the previous bit
+    with rho(p); ``enriquez`` walks at p = 1/2 and keeps with 2 rho - 1, for
+    the persistence rho drawn at u.  A renewal chain's lag-n increment
+    correlation is keep^n (the second eigenvalue of its transition matrix).
     """
     if mode == "paper":
-        return persistence_from_p(p, model)
+        p = solve_p_batch(_draw_target(u, model), model)
+        return p, persistence_from_p(p, model)
     if mode == "enriquez":
-        if persistence is None:
-            raise ValueError("enriquez mode needs an explicit persistence")
-        return 2.0 * persistence - 1.0
+        return np.full(len(u), 0.5), 2.0 * draw_persistence(u, model) - 1.0
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -158,42 +164,28 @@ def generate_fbm(
         raise ValueError("n_paths must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if mode not in ("paper", "enriquez"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     t0 = time.perf_counter()
-    root = np.random.SeedSequence(seed)
-    rngs = [np.random.Generator(np.random.PCG64(c)) for c in root.spawn(n_paths)]
-
-    # parameter-draw phase (consumes each trajectory's stream first)
-    counts = [0]
-    persistence = None
-    if mode == "enriquez":
-        persistence = np.array([draw_persistence(r, model) for r in rngs])
-        ps = np.full(n_paths, 0.5)
-    else:
-        s_max = sigma_max(model)
-        drawn = [_draw_target(r, model, s_max) for r in rngs]
-        counts = [d[2] for d in drawn]
-        ps = solve_p_batch(np.array([d[1] for d in drawn]), model)
-    keeps = np.asarray(renewal_keep(mode, ps, model, persistence))
+    n_blocks = -(-n_paths // _BLOCK)
+    rngs = [np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(n_blocks)]
+    u = np.concatenate([rng.random(min(_BLOCK, n_paths - b * _BLOCK)) for b, rng in enumerate(rngs)])
+    ps, keeps = walk_parameters(mode, u, model)
     t1 = time.perf_counter()
 
-    def block(start: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(b: int) -> tuple[np.ndarray, np.ndarray]:
         d2 = np.zeros(n_steps, dtype=np.float64)
-        stop = min(start + _BLOCK, n_paths)
+        start, stop = b * _BLOCK, min((b + 1) * _BLOCK, n_paths)
         n_flips = np.empty(stop - start, dtype=np.int64)
-        for i in range(start, stop):
-            p = float(ps[i])
-            up, flips = _walk_levels(rngs[i], n_steps, p, float(keeps[i]))
+        for i, (p, keep) in enumerate(zip(ps[start:stop].tolist(), keeps[start:stop].tolist())):
+            up, flips = _walk_levels(rngs[b], n_steps, p, keep)
             standardized_levels(d2, up, flips, p)
-            n_flips[i - start] = len(flips)
+            n_flips[i] = len(flips)
         return d2, n_flips
 
     total = np.zeros(n_steps, dtype=np.float64)
     flip_counts = []
-    for first in range(0, n_paths, _GROUP * _BLOCK):
-        blocks = [block(start) for start in range(first, min(first + _GROUP * _BLOCK, n_paths), _BLOCK)]
+    for first in range(0, n_blocks, _GROUP):
+        blocks = [block(b) for b in range(first, min(first + _GROUP, n_blocks))]
         total += _pairwise_sum([d2 for d2, _ in blocks])
         flip_counts += [n_flips for _, n_flips in blocks]
     np.cumsum(total, out=total)
@@ -211,8 +203,8 @@ def generate_fbm(
         "workers": workers,
         "backend": BACKEND,
         "stream_version": STREAM_VERSION,
-        "resample_total": int(sum(counts)),
-        "resample_max": int(max(counts)),
+        # no draw is rejected; kept at 0 because perfbench's sidecar check reads it
+        "resample_total": 0,
         "flips_total": int(flip_counts.sum()),
         "flips_per_path": _spread(flip_counts),
         "p": _spread(ps),

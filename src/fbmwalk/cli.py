@@ -38,13 +38,19 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
+_CSV_CHUNK = 1 << 16  # rows formatted and written at a time
+
+
 def _write_path_csv(out: str, times: np.ndarray, values: np.ndarray) -> None:
-    # t at 12 significant digits, values as shortest round-trip decimals
-    lines = ["t,value"]
-    lines.extend(f"{t:.12g},{float(v)!r}" for t, v in zip(times, values))
+    # t at 12 significant digits, values as shortest round-trip decimals;
+    # formatted a chunk at a time, so memory stays bounded as N grows
     with open(out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write("t,value\n")
+        for i in range(0, len(values), _CSV_CHUNK):
+            t = map("{:.12g}".format, times[i : i + _CSV_CHUNK].tolist())
+            v = map(repr, values[i : i + _CSV_CHUNK].tolist())
+            fh.write("\n".join(map(",".join, zip(t, v))))
+            fh.write("\n")
 
 
 def _write_path_json(out: str, times: np.ndarray, values: np.ndarray) -> None:

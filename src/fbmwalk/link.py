@@ -27,8 +27,8 @@ def _phi2_excess(p, delta: float):
     """Phi2(z(p), z(p), delta) - p^2, scalar or vectorised over p.
 
     Scalars run through the same vector code path so that batch and one-off
-    evaluations agree bit for bit (the walk kernel compares uniforms against
-    these values, where a one-ulp difference would flip steps).  Raises
+    evaluations agree bit for bit (the walk's sojourn laws are drawn at these
+    values, where a one-ulp difference would change the draws).  Raises
     ValueError unless -1 < delta < 1 and every p lies in (0, 1).
     """
     if not -1.0 < delta < 1.0:

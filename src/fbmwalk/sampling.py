@@ -4,9 +4,10 @@ A uniform draw u is mapped to a target lag-1 correlation
 ``t(u) = 1 - (1 - u)^(1/(2-2H))`` and p is the unique root of
 ``n_step_correlation(p, model, 1) = t(u)`` on the branch p in (0, 1/2].
 The target is only attainable up to the maximal phi coefficient
-``sigma_max = (2/pi) asin(delta1) < 1``, so uniforms above the feasibility
-threshold admit no solution and are redrawn: each walk's p then follows the
-nominal density renormalised to the solvable branch.
+``sigma_max = (2/pi) asin(delta1) < 1``, reached at the feasibility threshold
+u_max.  Each walk's p follows the nominal density renormalised to the
+solvable branch: its uniform is scaled onto [0, u_max), which has the law of
+redrawing until u < u_max, at one uniform per walk.
 """
 
 from __future__ import annotations
@@ -37,11 +38,17 @@ class InfeasibleTargetError(ValueError):
     """Raised when solve_p_batch is handed a target above sigma_max."""
 
 
-def target_from_uniform(u: float, model: HurstModel) -> float:
-    """Map a uniform in [0, 1) to its target correlation 1 - (1-u)^(1/(2-2H))."""
-    if not 0.0 <= u < 1.0:
+def target_from_uniform(u, model: HurstModel):
+    """Map uniforms in [0, 1) to target correlations 1 - (1-u)^(1/(2-2H)).
+
+    A scalar ``u`` gives a float, an array an array.
+    """
+    scalar = np.ndim(u) == 0
+    u = np.asarray(u, dtype=np.float64)
+    if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError(f"uniform must be in [0, 1), got {u}")
-    return float(-np.expm1(np.log1p(-u) / (2.0 - 2.0 * model.h)))
+    out = -np.expm1(np.log1p(-u) / (2.0 - 2.0 * model.h))
+    return float(out) if scalar else out
 
 
 def feasibility_threshold(model: HurstModel) -> float:
@@ -49,7 +56,7 @@ def feasibility_threshold(model: HurstModel) -> float:
 
     This is also the probability mass the nominal density places on the
     solvable branch (< 1): the density does not integrate to one over any
-    p-branch, which is why resampling renormalises.
+    p-branch, which is why the draw renormalises.
     """
     return -float(np.expm1((2.0 - 2.0 * model.h) * np.log1p(-sigma_max(model))))
 
@@ -99,29 +106,21 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel) -> np.ndarray:
     return p
 
 
-def _draw_target(rng: np.random.Generator, model: HurstModel, s_max: float) -> tuple[float, float, int]:
-    """Draw one solvable target, redrawing infeasible uniforms: (u, target, rejections).
+def _draw_target(u: np.ndarray, model: HurstModel) -> np.ndarray:
+    """Solvable targets ``t(u u_max)`` for uniforms u in [0, 1).
 
-    The source is consumed one uniform per attempt, so a fixed seed
-    reproduces the rejection count; ``s_max`` is ``sigma_max(model)``, passed
-    in so a run computes it once rather than once per draw.
+    Clamped to ``sigma_max``: at u just below 1 the map can land one ulp
+    above it, where ``solve_p_batch`` would raise.
     """
-    count = 0
-    while True:
-        u = float(rng.random())
-        target = float(target_from_uniform(u, model))
-        if target <= s_max:
-            return u, target, count
-        count += 1
+    return np.minimum(target_from_uniform(u * feasibility_threshold(model), model), sigma_max(model))
 
 
-def draw_persistence(rng: np.random.Generator, model: HurstModel) -> float:
-    """Inverse-CDF draw of the enriquez persistence density on [1/2, 1].
+def draw_persistence(u: np.ndarray, model: HurstModel) -> np.ndarray:
+    """Inverse CDF of the enriquez persistence density on [1/2, 1], at uniforms u.
 
-    The density is (1-H) 2^(3-2H) (1-rho)^(1-2H); one uniform per draw.
+    The density is (1-H) 2^(3-2H) (1-rho)^(1-2H).
     """
-    u = rng.random()
-    return 1.0 - 0.5 * float(np.exp(np.log1p(-u) / (2.0 - 2.0 * model.h)))
+    return 1.0 - 0.5 * np.exp(np.log1p(-np.asarray(u, dtype=np.float64)) / (2.0 - 2.0 * model.h))
 
 
 def density_p(p, model: HurstModel):

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import expand_steps
-from .aggregate import _walk_levels, generate_fbm, renewal_keep
+from .aggregate import _walk_levels, generate_fbm
 from .estimators import estimate_report
 from .fgn import HurstModel, theoretical_mixture_correlation
 from .gaussian import dichotomized_gaussian_walk, fgn_cholesky_factor
-from .link import n_step_correlation, sigma_max
+from .link import n_step_correlation, persistence_from_p, sigma_max
 from .sampling import density_p, feasibility_threshold, solve_p_batch, target_from_uniform
 
 __all__ = ["Check", "run_validation", "jarque_bera", "replicate_spread"]
@@ -100,7 +100,7 @@ def _check_paper_chain_law(
     u = 0.4 * feasibility_threshold(model)  # a representative feasible draw
     target = float(target_from_uniform(u, model))
     p = float(solve_p_batch(np.array([target]), model)[0])
-    rho = float(renewal_keep("paper", p, model))
+    rho = float(persistence_from_p(p, model))
     walks = []
     for _ in range(reps):
         walks.append(expand_steps(*_walk_levels(rng, steps, p, rho), steps))

@@ -12,10 +12,8 @@ from fbmwalk import (
     theoretical_mixture_correlation,
 )
 from fbmwalk._kernels import expand_steps
-from fbmwalk.aggregate import _pairwise_sum, _walk_levels, renewal_keep, standardized_levels
+from fbmwalk.aggregate import _pairwise_sum, _walk_levels, standardized_levels, walk_parameters
 from fbmwalk.estimators import empirical_acf
-from fbmwalk.link import sigma_max
-from fbmwalk.sampling import _draw_target, draw_persistence, solve_p_batch
 from fbmwalk.validate import jarque_bera
 
 from conftest import acf_known_mean
@@ -92,23 +90,20 @@ def test_worker_count_invariance_property(h, n, m, seed, mode, workers):
 def _standalone_sum(model, mode: str, n: int, m_paths: int, seed: int) -> np.ndarray:
     """The aggregate values at steps 1..n, rebuilt densely from the same events.
 
-    Each trajectory's child stream is consumed in the documented order: the
-    parameter draw first, then the walk's first bit and sojourns.  Each walk
-    is expanded to its +-1 steps, standardised in float64 and summed in
-    trajectory order.
+    The streams are consumed in the documented order: one child stream of
+    the master seed per block of 64 trajectories, which gives first one
+    uniform per trajectory of the block, then, trajectory by trajectory,
+    each walk's first bit and sojourns.  The uniforms of all blocks are
+    mapped to (p, keep) together.  Each walk is expanded to its +-1 steps,
+    standardised in float64 and summed in trajectory order.
     """
-    rngs = [np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(m_paths)]
-    persistence = None
-    if mode == "enriquez":
-        ps = np.full(m_paths, 0.5)
-        persistence = np.array([draw_persistence(rng, model) for rng in rngs])
-    else:
-        s_max = sigma_max(model)
-        ps = solve_p_batch(np.array([_draw_target(rng, model, s_max)[1] for rng in rngs]), model)
-    keeps = np.asarray(renewal_keep(mode, ps, model, persistence))
+    sizes = [min(64, m_paths - start) for start in range(0, m_paths, 64)]
+    rngs = [np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(len(sizes))]
+    ps, keeps = walk_parameters(mode, np.concatenate([rng.random(s) for rng, s in zip(rngs, sizes)]), model)
+    walk_rngs = [rng for rng, s in zip(rngs, sizes) for _ in range(s)]
     k = np.arange(1, n + 1)
     total = np.zeros(n)
-    for rng, p, keep in zip(rngs, ps.tolist(), keeps.tolist()):
+    for rng, p, keep in zip(walk_rngs, ps.tolist(), keeps.tolist()):
         levels = np.cumsum(expand_steps(*_walk_levels(rng, n, p, keep), n))
         total += (levels - k * (2.0 * p - 1.0)) / np.sqrt(4.0 * p * (1.0 - p))
     return model.a_h * total / (n**model.h * math.sqrt(m_paths))
@@ -117,9 +112,9 @@ def _standalone_sum(model, mode: str, n: int, m_paths: int, seed: int) -> np.nda
 def test_matches_standalone_trajectories(model_07):
     """The aggregate equals trajectories rebuilt one by one and summed in order.
 
-    generate_fbm spawns child streams from the master seed and trajectory i
-    reads only child i.  The dense sum here differs from generate_fbm's
-    scattered flips and prefix sums only by rounding (1e-12).
+    generate_fbm spawns one child stream of the master seed per block of 64
+    trajectories.  The dense sum here differs from generate_fbm's scattered
+    flips and prefix sums only by rounding (1e-12).
     """
     n, m_paths = 47, 9
     for mode in ("paper", "enriquez"):
@@ -151,10 +146,10 @@ def test_meta_records_run(model_07):
     assert meta["mode"] == "paper"
     assert meta["seed"] == 9
     assert meta["workers"] == 2
-    assert meta["resample_total"] >= 0
+    assert meta["resample_total"] == 0
     assert meta["throughput_steps_per_s"] > 0
     assert meta["backend"] == "numpy"
-    assert meta["stream_version"] == 4
+    assert meta["stream_version"] == 5
     assert meta["flips_total"] > 0
     assert meta["flips_per_path"]["min"] <= meta["flips_per_path"]["median"] <= meta["flips_per_path"]["max"]
     assert 0.0 < meta["p"]["min"] <= meta["p"]["max"] <= 0.5

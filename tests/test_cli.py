@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fbmwalk.cli import main
+from fbmwalk.cli import _CSV_CHUNK, _write_path_csv, main
 
 
 def run(argv):
@@ -27,7 +28,7 @@ def test_generate_csv_schema(tmp_path):
     assert meta["paths"] == 8
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
-    assert meta["stream_version"] == 4
+    assert meta["stream_version"] == 5
     assert "resample_total" in meta and "wall_time_s" in meta
 
 
@@ -84,7 +85,7 @@ def test_generate_gaussian_oracle_schema(tmp_path):
     assert lines[1] == "0,0.0"
     assert len(lines) == 514
     meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-    assert meta["stream_version"] == 4
+    assert meta["stream_version"] == 5
 
 
 def test_generate_oracle_sidecar_omits_walk_options(tmp_path):
@@ -109,6 +110,19 @@ def test_generate_raw_levels_flag(tmp_path):
     assert run(["generate", "--hurst", 0.7, "--steps", 32, "--paths", 4, "--seed", 1, "--out", out, "--raw-levels"]) == 0
     first_rows = [l.split(",")[0] for l in out.read_text().splitlines()[1:5]]
     assert first_rows == ["0", "1", "2", "3"]
+
+
+def test_chunked_csv_writer_matches_row_format(tmp_path):
+    # the rows the writer made before it wrote in chunks, one f-string per row
+    n = 2 * _CSV_CHUNK + 7
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[[0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, n - 1]] = [-0.0, 5e-324, 1e16, -1e16, 0.1]
+    times = np.arange(n, dtype=np.float64) / (n - 1)
+    rows = "".join(f"{t:.12g},{float(v)!r}\n" for t, v in zip(times, values))
+    out = tmp_path / "chunked.csv"
+    _write_path_csv(str(out), times, values)
+    assert out.read_text() == "t,value\n" + rows
 
 
 def test_generate_config_errors(tmp_path):

@@ -13,14 +13,14 @@ from fbmwalk.aggregate import STREAM_VERSION
 from fbmwalk.cli import main
 
 # the stream version the digests below were taken at
-DIGEST_STREAM_VERSION = 4
+DIGEST_STREAM_VERSION = 5
 WALK_DIGESTS = {
-    "paper": "7f43995ebc2dcb9bae68e71f2072470198cd2463909daaaef98653cb62e22c25",
-    "enriquez": "c7990a0fd588b7256bd13a40c892e3364c976336f261e2e0563297806bdce524",
+    "paper": "1bb980bce14b42eef6d82db2adb595b4727223df375987e90b23f5d252c74892",
+    "enriquez": "6674f3b14af5b374a33a19d55da436afe74a082370d5f945c9db22c1113abf47",
 }
 ORACLE_DIGEST = "db571975bb7b0d7f5fbe56bd81d432b436b72142f2bd815d7e60c79747a9a2d1"
 # H=0.98 puts delta1 above 0.925, the range stream version 2 changed
-PAPER_H098_DIGEST = "1ee969d236d14bea27dbea3e66ae4888ca4456b244cb6a73c3ed1bf3d586434f"
+PAPER_H098_DIGEST = "114f3486d8a74cb770b8b94a8b154a428ba7c19b35d6bf66c50f0425a15d3080"
 
 
 def _digest(tmp_path, argv, hurst: str = "0.7") -> str:

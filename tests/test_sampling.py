@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from fbmwalk import (
+    HurstModel,
     density_p,
     feasibility_threshold,
     n_step_correlation,
@@ -19,10 +20,11 @@ def solve_one(target: float, model) -> float:
     return float(solve_p_batch(np.array([target]), model)[0])
 
 
-def draw_p(rng, model) -> tuple[float, float, float, int]:
-    """One marginal draw as generate_fbm makes it: (u, target, p, rejections)."""
-    u, target, count = _draw_target(rng, model, sigma_max(model))
-    return u, target, solve_one(target, model), count
+def draw_p(rng, model) -> tuple[float, float, float]:
+    """One marginal draw as generate_fbm makes it: (u, target, p)."""
+    u = rng.random()
+    target = float(_draw_target(np.array([u]), model)[0])
+    return u, target, solve_one(target, model)
 
 # ---------------------------------------------------------------- target map
 
@@ -124,19 +126,29 @@ def test_sample_deterministic(model_07):
     assert a == b
 
 
-def test_sample_resample_counts_deterministic(model_07):
-    rng = np.random.default_rng(7)
-    counts = [draw_p(rng, model_07)[3] for _ in range(200)]
-    rng = np.random.default_rng(7)
-    counts2 = [draw_p(rng, model_07)[3] for _ in range(200)]
-    assert counts == counts2
-    assert sum(counts) > 0  # u_max ~ 0.13, so rejections must occur
+def test_largest_uniform_stays_solvable():
+    # t(u u_max) at the largest uniform below 1 can land one ulp above
+    # sigma_max (10 of these 2000 H values, e.g. H = 0.6746); the draw clamps
+    # it, so the solve succeeds.  The solve runs where the unclamped map
+    # overshoots and on every 20th H, as 2000 solves take ~30 s.
+    u = np.array([np.nextafter(1.0, 0.0)])
+    overshoots = 0
+    for i, h in enumerate(np.linspace(0.501, 0.999, 2000)):
+        m = HurstModel(float(h))
+        s_max = sigma_max(m)
+        target = _draw_target(u, m)
+        assert target[0] <= s_max, h
+        overshoot = target_from_uniform(u * feasibility_threshold(m), m)[0] > s_max
+        overshoots += overshoot
+        if overshoot or i % 20 == 0:
+            assert solve_p_batch(target, m)[0] == pytest.approx(0.5, abs=1e-6), h
+    assert overshoots > 0
 
 
 def test_sample_invariants(model_07):
     rng = np.random.default_rng(3)
     for _ in range(100):
-        _, target, p, _ = draw_p(rng, model_07)
+        _, target, p = draw_p(rng, model_07)
         assert 0.0 < p <= 0.5
         assert abs(float(n_step_correlation(p, model_07, 1)) - target) <= 1e-9 or p == P_FLOOR
         assert 0.5 < float(persistence_from_p(p, model_07)) < 1.0
@@ -177,19 +189,15 @@ def test_density_domain(model_07):
 def test_sampled_p_distribution_matches_truncated_law(model_07):
     """KS distance between sampled p and the renormalised solvable-branch law.
 
-    Under resampling, accepted u is uniform on (0, u_max), so the CDF of p is
-    F(sigma1(p)) / u_max with F(s) = 1 - (1-s)^(2-2H).  Draws use the batch
-    solver (the identical code path generate_fbm takes).
+    The draw scales u onto [0, u_max), so the CDF of p is
+    F(sigma1(p)) / u_max with F(s) = 1 - (1-s)^(2-2H).  Draws go through the
+    map and the batch solver that generate_fbm calls.
     """
     m = model_07
     rng = np.random.default_rng(99)
     n = 100_000
     u_max = feasibility_threshold(m)
-    us = rng.random(int(n / u_max * 1.15) + 1000)
-    us = us[us <= u_max][:n]
-    assert us.shape[0] == n
-    targets = np.array([target_from_uniform(float(u), m) for u in us])
-    ps = solve_p_batch(targets, m)
+    ps = solve_p_batch(_draw_target(rng.random(n), m), m)
 
     ps_sorted = np.sort(ps)
     model_cdf = (

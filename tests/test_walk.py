@@ -8,7 +8,7 @@ from fbmwalk import (
     generate_fbm,
     n_step_correlation,
     persistence_from_p,
-    renewal_keep,
+    walk_parameters,
 )
 from fbmwalk._kernels import expand_steps
 from fbmwalk.aggregate import _walk_levels
@@ -82,8 +82,7 @@ def test_trajectory_determinism(model_07):
 
 def test_trajectory_parity_invariant(model_07):
     for mode in ("paper", "enriquez"):
-        p = 0.5 if mode == "enriquez" else 0.3
-        keep = float(renewal_keep(mode, p, model_07, persistence=0.75))
+        (p,), (keep,) = walk_parameters(mode, np.array([0.4]), model_07)
         levels = np.cumsum(expand_steps(*_walk_levels(np.random.default_rng(9), 257, p, keep), 257))
         k = np.arange(1, 258)
         assert np.all((levels - k) % 2 == 0)
@@ -94,7 +93,7 @@ def test_enriquez_persistence_law(model_07):
     # inverse-CDF draws against the closed-form CDF 1 - (2(1-rho))^(2-2H)
     rng = np.random.default_rng(21)
     n = 100_000
-    rhos = np.sort([draw_persistence(rng, model_07) for _ in range(n)])
+    rhos = np.sort(draw_persistence(rng.random(n), model_07))
     assert rhos[0] >= 0.5 and rhos[-1] <= 1.0
     model_cdf = 1.0 - (2.0 * (1.0 - rhos)) ** (2.0 - 2.0 * model_07.h)
     empirical = np.arange(1, n + 1) / n
@@ -106,18 +105,18 @@ def test_enriquez_near_half_density_flattens():
     # as H -> 1/2+ the persistence density tends to uniform(1/2, 1)
     m = HurstModel(0.501)
     rng = np.random.default_rng(22)
-    rhos = np.sort([draw_persistence(rng, m) for _ in range(100_000)])
+    rhos = np.sort(draw_persistence(rng.random(100_000), m))
     uniform_cdf = np.clip(2.0 * (rhos - 0.5), 0.0, 1.0)
     empirical = np.arange(1, 100_001) / 100_000
     assert float(np.max(np.abs(empirical - uniform_cdf))) < 0.015
 
 
 def test_enriquez_trajectory_carries_persistence(model_07):
-    # an enriquez trajectory draws its persistence first, then walks at p = 1/2,
-    # where standardisation is the identity: one path is a_H X_k / N^H
+    # a one-walk block's generator gives the walk's uniform first, then the walk
+    # at p = 1/2, where standardisation is the identity: one path is a_H X_k / N^H
     n = 16
     rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
-    rho = draw_persistence(rng, model_07)
+    rho = float(draw_persistence(rng.random(1), model_07)[0])
     assert 0.5 <= rho <= 1.0
     levels = np.cumsum(expand_steps(*_walk_levels(rng, n, 0.5, 2.0 * rho - 1.0), n))
     path = generate_fbm(model_07, n, 1, mode="enriquez", seed=3)
@@ -128,26 +127,26 @@ def test_enriquez_trajectory_carries_persistence(model_07):
 
 
 def test_chain_lag_paper_median(model_07):
-    v = renewal_keep("paper", 0.5, model_07)
+    # the largest uniform maps to sigma_max, the target of p = 1/2
+    (p,), (v,) = walk_parameters("paper", np.array([np.nextafter(1.0, 0.0)]), model_07)
+    assert p == pytest.approx(0.5, abs=1e-7)
     assert v == pytest.approx(0.6035176001781586, abs=1e-12)
     assert v == pytest.approx(float(persistence_from_p(0.5, model_07)), abs=1e-15)
 
 
 def test_chain_lag_paper_matches_enumeration(model_07):
-    for p in (0.05, 0.3, 0.5):
+    ps, keeps = walk_parameters("paper", np.array([0.0, 0.05, 0.3, 0.9]), model_07)
+    for p, keep in zip(ps.tolist(), keeps.tolist()):
         rho = float(persistence_from_p(p, model_07))
-        assert renewal_keep("paper", p, model_07) == pytest.approx(
-            chain_corr_enumeration(p, rho), abs=1e-12
-        )
+        assert keep == pytest.approx(chain_corr_enumeration(p, rho), abs=1e-12)
 
 
 def test_chain_lag_enriquez():
     m = HurstModel(0.7)
-    assert renewal_keep("enriquez", 0.5, m, persistence=0.75) ** 3 == pytest.approx(
-        0.125, abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        renewal_keep("enriquez", 0.5, m)
+    # persistence 3/4 sits at u = 1 - 2^-(2-2H), its CDF value
+    (p,), (keep,) = walk_parameters("enriquez", np.array([1.0 - 0.5**0.6]), m)
+    assert p == 0.5
+    assert keep**3 == pytest.approx(0.125, abs=1e-15)
 
 
 def test_empirical_lag_law_per_mode(model_07):

@@ -4,18 +4,23 @@
 
 Runs ``perfbench/run.py --trace 0 --seed 1 --seconds 20`` on each workload of
 ``perfbench/run.py``, once per pair on this checkout and once on the parent
-commit, for 10 pairs, alternating which side runs first.  The parent runs from a scratch copy of that commit
-(``git archive`` into a temporary directory, removed afterwards), so both
-sides run their own benchmark code with the same settings.  The JSON written
-to ``--out`` holds, per side and workload, every run's metrics, failure
-counts and provenance record, and the median and quartiles of each metric
-over the runs.
+commit, for 10 pairs, alternating which side runs first, then one
+``--trace 1`` run per workload on this checkout.  The parent runs from a
+scratch copy of that commit (``git archive`` into a temporary directory,
+removed afterwards), so both sides run their own benchmark code with the
+same settings.  A run fails unless it exits 0, its last line parses as
+strict JSON (no ``NaN`` or ``Infinity``), it reports 0 failed invocations
+and every metric is a finite number.  The JSON written to ``--out`` holds,
+per side and workload, every run's metrics, failure counts and provenance
+record, the median and quartiles of each metric over the runs that did not
+fail, and the traced runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -48,26 +53,35 @@ def export(ref: str, into: Path) -> None:
     archive.unlink()
 
 
-def bench(tree: Path, workload: str) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``: its last line and record."""
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def bench(tree: Path, workload: str, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its last line and record, and whether it failed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-            "--seconds", str(SECONDS), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
-    if out.returncode != 0 or not lines:
-        return {"exit_code": out.returncode, "stderr": out.stderr[-2000:]}
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1], parse_constant=_reject_constant)
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        attempted, failed = result["attempted"], result["failed"]
+    except (IndexError, KeyError, TypeError, AttributeError, ValueError) as exc:
+        return {"exit_code": out.returncode, "ok": False, "error": f"last line: {exc!r}",
+                "stderr": out.stderr[-2000:]}
+    bad = sorted(n for n, v in metrics.items() if not (isinstance(v, (int, float)) and math.isfinite(v)))
     record = next((json.loads(line[len("record "):]) for line in lines if line.startswith("record ")), None)
-    return {"exit_code": 0, "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}, "record": record}
+    return {"exit_code": out.returncode, "ok": out.returncode == 0 and failed == 0 and not bad,
+            "attempted": attempted, "failed": failed, "bad_metrics": bad, "metrics": metrics, "record": record}
 
 
 def summary(runs: list[dict]) -> dict:
-    """Median and quartiles over the runs of each metric."""
+    """Median and quartiles of each metric over the runs that did not fail."""
     values: dict[str, list[float]] = {}
     for run in runs:
-        for name, value in run.get("metrics", {}).items():
-            if value is not None:
+        if run["ok"]:
+            for name, value in run["metrics"].items():
                 values.setdefault(name, []).append(value)
     out = {}
     for name, xs in values.items():
@@ -94,12 +108,16 @@ def main(argv=None) -> int:
                     run = bench(trees[side], workload)
                     runs[side][workload].append(run)
                     shown = run.get("metrics", {}).get("wall_s")
-                    print(f"pair {pair} {workload:15s} {side:8s} wall_s {shown}", file=sys.stderr)
+                    print(f"pair {pair} {workload:15s} {side:8s} ok {run['ok']} wall_s {shown}", file=sys.stderr)
+        traced = {}
+        for workload in WORKLOADS:
+            traced[workload] = bench(ROOT, workload, trace=1)
+            print(f"traced  {workload:15s} current  ok {traced[workload]['ok']}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     doc = {
-        "command": "perfbench/run.py --trace 0",
+        "command": "perfbench/run.py --trace 0, then --trace 1 once per workload on the current side",
         "seed": SEED,
         "seconds": SECONDS,
         "pairs": PAIRS,
@@ -108,7 +126,11 @@ def main(argv=None) -> int:
         "parent": {"ref": args.parent, "git_sha": git("rev-parse", args.parent).strip()},
     }
     for side in trees:
-        doc[side]["workloads"] = {w: {"summary": summary(r), "runs": r} for w, r in runs[side].items()}
+        doc[side]["workloads"] = {
+            w: {"summary": summary(r), "failed_runs": sum(not x["ok"] for x in r), "runs": r}
+            for w, r in runs[side].items()
+        }
+    doc["current"]["traced"] = traced
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
