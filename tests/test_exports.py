@@ -28,7 +28,7 @@ def test_benchmark_wrapped_names_and_sidecar_fields(tmp_path):
     table = next(
         node.value
         for node in ast.parse(source).body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WRAPPED"
     )
     for module_name, names in ast.literal_eval(table).items():
         module = importlib.import_module(module_name)
