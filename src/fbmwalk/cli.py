@@ -21,7 +21,7 @@ from .estimators import (
     estimate_report,
 )
 from .fgn import HurstModel
-from .gaussian import MAX_DENSE_N, cholesky_fbm
+from .gaussian import cholesky_fbm
 from .sampling import InfeasibleTargetError
 from .validate import replicate_spread, run_validation
 
@@ -89,10 +89,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return _fail("config", "--paths and --workers must be >= 1", EXIT_CONFIG)
     t0 = time.perf_counter()
     if args.mode == "gaussian-oracle":
-        if args.steps > MAX_DENSE_N:
-            return _fail(
-                "config", f"gaussian-oracle supports steps <= {MAX_DENSE_N}", EXIT_CONFIG
-            )
         values = cholesky_fbm(model, args.steps, args.seed)
         times = np.arange(args.steps + 1, dtype=np.float64) / args.steps
         meta = {
@@ -193,7 +189,6 @@ def cmd_spread(args: argparse.Namespace) -> int:
         replicates=args.replicates,
         mode=args.mode,
         seed=args.seed,
-        workers=args.workers,
     )
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
@@ -220,12 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
         p.add_argument("--mode", choices=modes, default="paper")
 
-    def workers_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=1, help="recorded in the sidecar only; the walks run in one thread")
-
     g = sub.add_parser("generate", help="generate a path and write CSV/JSON plus metadata sidecar")
     common(g, paths_default=1024, modes=(*_WALK_MODES, "gaussian-oracle"))
-    workers_option(g)
+    g.add_argument("--workers", type=int, default=1, help="recorded in the sidecar only; the walks run in one thread")
     g.add_argument("--out", required=True, help="output file")
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--raw-levels", action="store_true", help="emit integer step index instead of t=k/N")
@@ -245,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spread", help="Hurst-estimate spread over replicate runs")
     common(s, paths_default=1024)
-    workers_option(s)
     s.add_argument("--replicates", type=int, default=30)
     s.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     s.set_defaults(fn=cmd_spread)

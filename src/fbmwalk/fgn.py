@@ -8,7 +8,7 @@ aggregate, and the closed-form mixture correlation of the persistence law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "HurstModel",
@@ -82,8 +82,8 @@ class HurstModel:
     """
 
     h: float
-    delta1: float = 0.0
-    a_h: float = 0.0
+    delta1: float = field(init=False)
+    a_h: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.5 < self.h < 1.0:

@@ -9,6 +9,7 @@ which the link-layer formulas hold by construction).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fgn import HurstModel, fgn_autocovariance
 from .special import std_normal_quantile
@@ -22,14 +23,16 @@ _JITTER = 1e-12
 def fgn_cholesky_factor(model: HurstModel, n: int) -> np.ndarray:
     """Lower-triangular factor of the n x n unit-variance fGn covariance.
 
-    On factorisation failure, retries exactly once with ``1e-12`` added to
-    the diagonal; a second failure propagates.
+    The covariance ``cov[i, j] = row[|i - j|]`` is a strided view of the
+    2n - 1 values ``row[n-1], ..., row[1], row[0], ..., row[n-1]``, so the
+    factor is the only n x n array allocated.  On factorisation failure,
+    retries exactly once with ``1e-12`` added to the diagonal; a second
+    failure propagates.
     """
     if not 1 <= n <= MAX_DENSE_N:
         raise ValueError(f"dense factorisation supports 1 <= N <= {MAX_DENSE_N}, got {n}")
-    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     row = np.array([fgn_autocovariance(m, model.h) for m in range(n)])
-    cov = row[lags]
+    cov = sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1]
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -41,8 +44,11 @@ def fgn_cholesky_factor(model: HurstModel, n: int) -> np.ndarray:
             ) from exc
 
 
-def _exact_fgn(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return factor @ rng.standard_normal(factor.shape[0])
+def _exact_fgn(model: HurstModel, n: int, seed, factor: np.ndarray | None) -> np.ndarray:
+    """n exact fGn samples: ``factor @ z`` for z drawn from ``seed``'s generator."""
+    rng = np.random.default_rng(seed)
+    L = fgn_cholesky_factor(model, n) if factor is None else factor
+    return L @ rng.standard_normal(L.shape[0])
 
 
 def cholesky_fbm(model: HurstModel, n: int, seed, factor: np.ndarray | None = None) -> np.ndarray:
@@ -51,9 +57,7 @@ def cholesky_fbm(model: HurstModel, n: int, seed, factor: np.ndarray | None = No
     Cumulative sums of exact fGn scaled by N^-H; pass a precomputed
     ``factor`` when drawing many paths at one (H, N).
     """
-    rng = np.random.default_rng(seed)
-    L = fgn_cholesky_factor(model, n) if factor is None else factor
-    fgn = _exact_fgn(L, rng)
+    fgn = _exact_fgn(model, n, seed, factor)
     path = np.empty(n + 1, dtype=np.float64)
     path[0] = 0.0
     np.cumsum(fgn, out=path[1:])
@@ -71,7 +75,5 @@ def dichotomized_gaussian_walk(
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    rng = np.random.default_rng(seed)
-    L = fgn_cholesky_factor(model, n) if factor is None else factor
-    fgn = _exact_fgn(L, rng)
+    fgn = _exact_fgn(model, n, seed, factor)
     return np.where(fgn <= std_normal_quantile(p), np.int64(1), np.int64(-1))

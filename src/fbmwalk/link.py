@@ -69,12 +69,12 @@ def n_step_correlation_from_delta(p, delta: float, n: int):
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    excess = _phi2_excess(p, delta)
-    p = np.asarray(p, dtype=np.float64) if np.ndim(p) else p
     if n == 1:
         # (lam - (2p-1)^2) telescopes to 4*excess exactly; evaluating it that
         # way avoids cancellation against (2p-1)^2 ~ 1 when p is tiny
-        return excess / (p * (1.0 - p))
+        return phi_from_tetrachoric(p, delta)
+    excess = _phi2_excess(p, delta)
+    p = np.asarray(p, dtype=np.float64) if np.ndim(p) else p
     lam = 4.0 * excess + (2.0 * p - 1.0) ** 2
     return (lam**n - (2.0 * p - 1.0) ** 2) / (4.0 * p * (1.0 - p))
 

@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 P_FLOOR = 1e-8
-P_TOL = 1e-12
 CORR_TOL = 1e-10
 # 64 halvings of [1e-8, 1/2]: far below the 1e-12 p-tolerance, and enough to
 # meet CORR_TOL even where sigma1 is steepest (slope ~1e3 near the floor)

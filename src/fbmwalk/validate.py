@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import expand_steps
-from .aggregate import _walk_levels, generate_fbm
+from .aggregate import _walk_levels, generate_fbm, walk_parameters
 from .estimators import estimate_report
 from .fgn import HurstModel, theoretical_mixture_correlation
 from .gaussian import dichotomized_gaussian_walk, fgn_cholesky_factor
-from .link import n_step_correlation, persistence_from_p, sigma_max
-from .sampling import density_p, feasibility_threshold, solve_p_batch, target_from_uniform
+from .link import n_step_correlation, sigma_max
+from .sampling import density_p, feasibility_threshold, solve_p_batch
 
 __all__ = ["Check", "run_validation", "jarque_bera", "replicate_spread"]
 
@@ -97,10 +97,8 @@ def _check_roundtrip(model: HurstModel, rng: np.random.Generator, k: int = 200) 
 def _check_paper_chain_law(
     model: HurstModel, rng: np.random.Generator, steps: int, reps: int = 16
 ) -> Check:
-    u = 0.4 * feasibility_threshold(model)  # a representative feasible draw
-    target = float(target_from_uniform(u, model))
-    p = float(solve_p_batch(np.array([target]), model)[0])
-    rho = float(persistence_from_p(p, model))
+    ps, keeps = walk_parameters("paper", np.array([0.4]), model)  # a representative draw
+    p, rho = float(ps[0]), float(keeps[0])
     walks = []
     for _ in range(reps):
         walks.append(expand_steps(*_walk_levels(rng, steps, p, rho), steps))

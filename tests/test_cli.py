@@ -138,6 +138,31 @@ def test_generate_config_errors(tmp_path):
     assert not out.exists()
 
 
+def test_oracle_size_limit_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    argv = ["generate", "--hurst", 0.7, "--steps", 4097, "--mode", "gaussian-oracle", "--out", out]
+    assert run(argv) == 2
+    assert "error: config: dense factorisation supports 1 <= N <= 4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_factors_once_through_module_global(tmp_path, monkeypatch):
+    # the benchmark's layer trace times the factor by wrapping this global
+    import fbmwalk.gaussian
+
+    calls = []
+    factor = fbmwalk.gaussian.fgn_cholesky_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(fbmwalk.gaussian, "fgn_cholesky_factor", counted)
+    out = tmp_path / "o.csv"
+    assert run(["generate", "--hurst", 0.7, "--steps", 64, "--mode", "gaussian-oracle", "--out", out]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- estimate
 
 
@@ -252,6 +277,7 @@ def test_validate_spread_refuse_oracle_mode(capsys):
     # options a command would ignore, and the retired ones, are not offered at all
     ignored = [
         ("validate", "--workers", -3),
+        ("spread", "--workers", 2),
         ("validate", "--shared-p"),
         ("validate", "--infeasible", "error"),
         ("spread", "--shared-p"),

@@ -186,6 +186,12 @@ def test_model_rejects_out_of_range():
             HurstModel(h)
 
 
+def test_model_derived_fields_not_arguments():
+    # delta1 and a_h follow from h; passing them would be silently overwritten
+    with pytest.raises(TypeError):
+        HurstModel(0.7, delta1=0.99, a_h=5.0)  # type: ignore[call-arg]
+
+
 def test_model_immutable():
     m = HurstModel(0.6)
     with pytest.raises(Exception):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,24 @@ def test_factor_reproduces_covariance(model_07):
         expected = fgn_autocovariance(m, 0.7)
         band = np.diagonal(cov, offset=m)
         assert np.allclose(band, expected, atol=1e-12)
+    # the strided covariance view factors to the same bytes as the explicit
+    # Toeplitz matrix row[|i - j|]
+    n = 1000
+    row = np.array([fgn_autocovariance(m, 0.7) for m in range(n)])
+    toeplitz = row[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    assert np.array_equal(fgn_cholesky_factor(model_07, n), np.linalg.cholesky(toeplitz))
+
+
+def test_factor_allocates_one_dense_array(model_07):
+    # the factor is the only N x N array numpy allocates on the traced heap
+    n = 1024
+    tracemalloc.start()
+    try:
+        fgn_cholesky_factor(model_07, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_path_shape_and_origin(model_07):
