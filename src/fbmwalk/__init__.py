@@ -2,7 +2,7 @@
 
 Thresholded-Gaussian link formulas, marginal-parameter sampling, two walk
 modes (``paper`` and ``enriquez``), deterministic event-driven aggregation, exact
-Cholesky oracles and Hurst estimators, behind one CLI
+Gaussian oracles by circulant embedding and Hurst estimators, behind one CLI
 (``fbmwalk generate|estimate|validate|spread``).
 """
 

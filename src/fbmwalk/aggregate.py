@@ -44,8 +44,9 @@ BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 # is drawn as its first bit and geometric sojourns, and aggregated from its
 # flips (every walk mode moved; the oracle did not).  5: one uniform per walk
 # mapped to (p, keep), and one generator per 64-trajectory block (every walk
-# mode moved; the oracle did not).
-STREAM_VERSION = 5
+# mode moved; the oracle did not).  6: the oracle draws exact fGn by circulant
+# embedding, not a dense Cholesky factor (the oracle moved; no walk mode did).
+STREAM_VERSION = 6
 _BLOCK = 64  # trajectories sharing one generator and one second-difference array
 _GROUP = 16  # blocks summed pairwise at a time, so at most 16 block arrays are held
 

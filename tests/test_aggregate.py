@@ -105,7 +105,8 @@ def _standalone_sum(model, mode: str, n: int, m_paths: int, seed: int) -> np.nda
     total = np.zeros(n)
     for rng, p, keep in zip(walk_rngs, ps.tolist(), keeps.tolist()):
         levels = np.cumsum(expand_steps(*_walk_levels(rng, n, p, keep), n))
-        total += (levels - k * (2.0 * p - 1.0)) / np.sqrt(4.0 * p * (1.0 - p))
+        # levels + k is exact; levels - k(2p - 1) keeps only ~8 digits at p ~ 5e-8
+        total += ((levels + k) - 2.0 * p * k) / np.sqrt(4.0 * p * (1.0 - p))
     return model.a_h * total / (n**model.h * math.sqrt(m_paths))
 
 
@@ -149,7 +150,7 @@ def test_meta_records_run(model_07):
     assert meta["resample_total"] == 0
     assert meta["throughput_steps_per_s"] > 0
     assert meta["backend"] == "numpy"
-    assert meta["stream_version"] == 5
+    assert meta["stream_version"] == 6
     assert meta["flips_total"] > 0
     assert meta["flips_per_path"]["min"] <= meta["flips_per_path"]["median"] <= meta["flips_per_path"]["max"]
     assert 0.0 < meta["p"]["min"] <= meta["p"]["max"] <= 0.5

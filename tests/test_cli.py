@@ -28,7 +28,7 @@ def test_generate_csv_schema(tmp_path):
     assert meta["paths"] == 8
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
-    assert meta["stream_version"] == 5
+    assert meta["stream_version"] == 6
     assert "resample_total" in meta and "wall_time_s" in meta
 
 
@@ -85,7 +85,7 @@ def test_generate_gaussian_oracle_schema(tmp_path):
     assert lines[1] == "0,0.0"
     assert len(lines) == 514
     meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-    assert meta["stream_version"] == 5
+    assert meta["stream_version"] == 6
 
 
 def test_generate_oracle_sidecar_omits_walk_options(tmp_path):
@@ -129,7 +129,7 @@ def test_generate_config_errors(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["generate", "--hurst", 0.49, "--steps", 64, "--paths", 4, "--out", out]) == 2
     assert run(["generate", "--hurst", 0.7, "--steps", 1, "--paths", 4, "--out", out]) == 2
-    assert run(["generate", "--hurst", 0.7, "--steps", 8192, "--mode", "gaussian-oracle", "--out", out]) == 2
+    assert run(["generate", "--hurst", 0.7, "--steps", 0, "--mode", "gaussian-oracle", "--out", out]) == 2
     for mode in ("paper", "gaussian-oracle"):
         for workers in (0, -3):
             argv = ["--mode", mode, "--paths", 4, "--workers", workers]
@@ -138,11 +138,21 @@ def test_generate_config_errors(tmp_path):
     assert not out.exists()
 
 
-def test_oracle_size_limit_is_a_config_error(tmp_path, capsys):
+def test_oracle_runs_at_paper_scale(tmp_path):
     out = tmp_path / "o.csv"
-    argv = ["generate", "--hurst", 0.7, "--steps", 4097, "--mode", "gaussian-oracle", "--out", out]
-    assert run(argv) == 2
-    assert "error: config: dense factorisation supports 1 <= N <= 4096" in capsys.readouterr().err
+    argv = ["generate", "--hurst", 0.7, "--steps", 100_000, "--mode", "gaussian-oracle", "--out", out]
+    assert run(argv) == 0
+    values = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert values.shape == (100_001, 2)
+    assert np.all(np.isfinite(values))
+
+
+def test_oracle_negative_eigenvalue_is_a_numeric_error(tmp_path, capsys):
+    # at H this close to 1 the embedding's smallest eigenvalue rounds below zero
+    out = tmp_path / "o.csv"
+    argv = ["generate", "--hurst", 0.999999999, "--steps", 1 << 20, "--mode", "gaussian-oracle", "--out", out]
+    assert run(argv) == 3
+    assert "error: numeric: fGn circulant embedding" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbmwalk import HurstModel, dsod_hurst, aggregated_variance_hurst, empirical_acf
+from fbmwalk import HurstModel, cholesky_fbm, dsod_hurst, aggregated_variance_hurst, empirical_acf
 from fbmwalk.estimators import (
     DegeneratePathError,
     InsufficientLengthError,
@@ -14,17 +14,11 @@ from conftest import replicate_se
 
 
 def _oracle_paths(h: float, n: int, seeds, scale=True):
-    """Exact fBm paths drawn from one Cholesky factor."""
+    """Exact fBm paths drawn from one circulant factor."""
     model = HurstModel(h)
-    L = fgn_cholesky_factor(model, n)
-    out = []
-    for s in seeds:
-        fgn = L @ np.random.default_rng(s).standard_normal(n)
-        path = np.concatenate(([0.0], np.cumsum(fgn)))
-        if scale:
-            path /= n**h
-        out.append(path)
-    return out
+    factor = fgn_cholesky_factor(model, n)
+    paths = [cholesky_fbm(model, n, s, factor=factor) for s in seeds]
+    return paths if scale else [path * n**h for path in paths]
 
 
 # ---------------------------------------------------------------- dsod

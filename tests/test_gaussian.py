@@ -13,47 +13,70 @@ from fbmwalk import (
     n_step_correlation,
     phi_from_tetrachoric,
 )
-from fbmwalk.gaussian import fgn_cholesky_factor
+from fbmwalk.gaussian import _autocovariance_row, fgn_cholesky_factor
 
 from conftest import acf_known_mean, replicate_se
 
 
 def _bulk_fgn(model, n, draws, seed):
-    """draws x n exact fGn samples from one factor."""
-    L = fgn_cholesky_factor(model, n)
-    z = np.random.default_rng(seed).standard_normal((n, draws))
-    return (L @ z).T
+    """draws x n exact fGn samples from one circulant factor, as one batched FFT."""
+    s = fgn_cholesky_factor(model, n)
+    z = np.random.default_rng(seed).standard_normal((2, draws, 2 * n))
+    return np.fft.fft(s * (z[0] + 1j * z[1]), axis=1)[:, :n].real
 
 
-# ---------------------------------------------------------------- cholesky paths
+# ---------------------------------------------------------------- circulant oracle
 
 
-def test_factor_reproduces_covariance(model_07):
-    n = 64
-    L = fgn_cholesky_factor(model_07, n)
-    cov = L @ L.T
-    for m in range(5):
-        expected = fgn_autocovariance(m, 0.7)
-        band = np.diagonal(cov, offset=m)
-        assert np.allclose(band, expected, atol=1e-12)
-    # the strided covariance view factors to the same bytes as the explicit
-    # Toeplitz matrix row[|i - j|]
-    n = 1000
-    row = np.array([fgn_autocovariance(m, 0.7) for m in range(n)])
-    toeplitz = row[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
-    assert np.array_equal(fgn_cholesky_factor(model_07, n), np.linalg.cholesky(toeplitz))
+def test_factor_reproduces_covariance():
+    # the draw is the linear map z -> Re fft(s * (z0 + i z1))[:n] of 4n iid
+    # normals; its Gram matrix A A^T is the covariance of the law it samples
+    n = 256
+    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    for h in (0.51, 0.7, 0.99):
+        model = HurstModel(h)
+        toeplitz = np.array([fgn_autocovariance(m, h) for m in range(n)])[lags]
+        s = fgn_cholesky_factor(model, n)
+        columns = np.fft.fft(np.eye(2 * n), axis=0)[:n] * s
+        a = np.hstack((columns.real, (1j * columns).real))
+        assert np.abs(a @ a.T - toeplitz).max() <= 1e-10, h
+        # and the library's draw is that map applied to its generator's normals
+        z = np.random.default_rng(3).standard_normal((2, 2 * n))
+        fgn = np.diff(cholesky_fbm(model, n, 3)) * n**h
+        assert np.allclose(fgn, a @ z.ravel(), rtol=0.0, atol=1e-9)
 
 
-def test_factor_allocates_one_dense_array(model_07):
-    # the factor is the only N x N array numpy allocates on the traced heap
-    n = 1024
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4096, 100_000, 1 << 20])
+def test_embedding_eigenvalues_nonnegative(n):
+    for h in np.linspace(0.51, 0.99, 25):
+        s = fgn_cholesky_factor(HurstModel(float(h)), n)
+        assert s.shape == (2 * n,) and np.all(np.isfinite(s))
+
+
+def test_autocovariance_row_matches_scalar_and_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    lags = [1, 2, 3, 10, 1000, 12_345, 100_000, 999_999, 1_000_000]
+    for h in (0.51, 0.7, 0.989, 0.999):
+        row = _autocovariance_row(h, lags[-1])
+        assert row[0] == 1.0
+        small = np.array([fgn_autocovariance(m, h) for m in range(65)])
+        assert np.abs(row[:65] - small).max() <= 1e-12
+        e = mpmath.mpf(2 * h)
+        with mpmath.workdps(40):
+            exact = [float(((k + 1) ** e + mpmath.mpf(k - 1) ** e - 2 * mpmath.mpf(k) ** e) / 2) for k in lags]
+        # the difference of three powers is off by ~1e-5 at k = 1e6, H = 0.989
+        assert np.abs(row[lags] - exact).max() <= 1e-9, h
+
+
+def test_oracle_memory_is_linear_in_n():
+    n = 1 << 16
     tracemalloc.start()
     try:
-        fgn_cholesky_factor(model_07, n)
+        cholesky_fbm(HurstModel(0.7), n, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+    assert peak < 32 * 8 * n, peak / (8 * n)
 
 
 def test_path_shape_and_origin(model_07):
@@ -106,9 +129,9 @@ def test_sample_covariance_matrix_entrywise(model_07):
             assert abs(emp[i, j] - theory[i, j]) <= 4 * se
 
 
-def test_dense_bound_enforced(model_07):
+def test_factor_size_check(model_07):
     with pytest.raises(ValueError):
-        fgn_cholesky_factor(model_07, 4097)
+        fgn_cholesky_factor(model_07, 0)
 
 
 def test_determinism(model_07):

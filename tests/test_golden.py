@@ -13,12 +13,12 @@ from fbmwalk.aggregate import STREAM_VERSION
 from fbmwalk.cli import main
 
 # the stream version the digests below were taken at
-DIGEST_STREAM_VERSION = 5
+DIGEST_STREAM_VERSION = 6
 WALK_DIGESTS = {
     "paper": "1bb980bce14b42eef6d82db2adb595b4727223df375987e90b23f5d252c74892",
     "enriquez": "6674f3b14af5b374a33a19d55da436afe74a082370d5f945c9db22c1113abf47",
 }
-ORACLE_DIGEST = "db571975bb7b0d7f5fbe56bd81d432b436b72142f2bd815d7e60c79747a9a2d1"
+ORACLE_DIGEST = "c92df1f2cce1a1332a8e25db9a0968334e1c75aaf5496d5edd8f9d59de8c199b"
 # H=0.98 puts delta1 above 0.925, the range stream version 2 changed
 PAPER_H098_DIGEST = "114f3486d8a74cb770b8b94a8b154a428ba7c19b35d6bf66c50f0425a15d3080"
 
