@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -42,15 +43,13 @@ _CSV_CHUNK = 1 << 16  # rows formatted and written at a time
 
 
 def _write_path_csv(out: str, times: np.ndarray, values: np.ndarray) -> None:
-    # t at 12 significant digits, values as shortest round-trip decimals;
-    # formatted a chunk at a time, so memory stays bounded as N grows
+    # t at 12 significant digits, values as shortest round-trip decimals (%r
+    # is repr); one %-format per chunk of rows, so memory stays bounded as N grows
     with open(out, "w", newline="\n") as fh:
         fh.write("t,value\n")
         for i in range(0, len(values), _CSV_CHUNK):
-            t = map("{:.12g}".format, times[i : i + _CSV_CHUNK].tolist())
-            v = map(repr, values[i : i + _CSV_CHUNK].tolist())
-            fh.write("\n".join(map(",".join, zip(t, v))))
-            fh.write("\n")
+            rows = np.column_stack((times[i : i + _CSV_CHUNK], values[i : i + _CSV_CHUNK])).ravel().tolist()
+            fh.write("%.12g,%r\n" * (len(rows) // 2) % tuple(rows))
 
 
 def _write_path_json(out: str, times: np.ndarray, values: np.ndarray) -> None:
@@ -61,6 +60,41 @@ def _write_path_json(out: str, times: np.ndarray, values: np.ndarray) -> None:
 
 
 def _read_path_csv(path: str) -> np.ndarray:
+    # np.loadtxt when every row is two fields with a finite value it reads;
+    # the line parser accepts a superset of those files with the same values,
+    # so every other file goes to it for its values or its line-numbered error.
+    # Like the line parser, loadtxt reads the value column only; the comma
+    # count then holds every row to two fields.
+    with open(path) as fh:
+        if fh.readline().strip() == "t,value":
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    values = np.loadtxt(fh, delimiter=",", comments=None, usecols=1, ndmin=1)
+            except ValueError:
+                values = None
+            if values is not None and np.isfinite(values).all() and _plain_commas(path) == len(values) + 1:
+                return values
+    return _parse_path_lines(path)
+
+
+# loadtxt strips these ASCII information separators ahead of a number, and
+# float() does not, so a file holding one goes to the line parser
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _plain_commas(path: str) -> int:
+    """The commas in a file, or -1 if it holds an information separator."""
+    commas = 0
+    with open(path) as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            if any(c in chunk for c in _SEPARATORS):
+                return -1
+            commas += chunk.count(",")
+    return commas
+
+
+def _parse_path_lines(path: str) -> np.ndarray:
     values = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -122,10 +156,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "wall_time_s": time.perf_counter() - t0,
         }
     )
+    t_write = time.perf_counter()
     if args.format == "csv":
         _write_path_csv(args.out, times, values)
     else:
         _write_path_json(args.out, times, values)
+    meta["write_s"] = time.perf_counter() - t_write
     with open(args.out + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -42,10 +42,18 @@ def fgn_cholesky_factor(model: HurstModel, n: int) -> np.ndarray:
 
 
 def _exact_fgn(model: HurstModel, n: int, seed, factor: np.ndarray | None) -> np.ndarray:
-    """n exact fGn samples: the real part of ``fft(s * (z0 + i z1))`` for z from ``seed``."""
+    """n exact fGn samples: the real part of ``fft(s * (z0 + i z1))`` for z from ``seed``.
+
+    Built in place in one complex buffer: z0 then z1 are the first and second
+    2n normals of the stream, the values of one ``(2, 2n)`` draw.
+    """
     s = fgn_cholesky_factor(model, n) if factor is None else factor
-    z = np.random.default_rng(seed).standard_normal((2, 2 * n))
-    return np.fft.fft(s * (z[0] + 1j * z[1]))[:n].real
+    rng = np.random.default_rng(seed)
+    w = np.empty(2 * n, dtype=np.complex128)
+    w.real = rng.standard_normal(2 * n)
+    w.imag = rng.standard_normal(2 * n)
+    w *= s
+    return np.fft.fft(w, out=w)[:n].real
 
 
 def cholesky_fbm(model: HurstModel, n: int, seed, factor: np.ndarray | None = None) -> np.ndarray:

@@ -1,10 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fbmwalk.cli import _CSV_CHUNK, _write_path_csv, main
+import fbmwalk.cli
+from fbmwalk.cli import _CSV_CHUNK, _parse_path_lines, _read_path_csv, _write_path_csv, main
 
 
 def run(argv):
@@ -103,6 +107,15 @@ def test_generate_json_format(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["t"]) == 65 and len(doc["value"]) == 65
     assert doc["value"][0] == 0.0
+
+
+def test_generate_sidecar_records_write_time(tmp_path):
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"p.{fmt}"
+        argv = ["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--out", out, "--format", fmt]
+        assert run(argv) == 0
+        meta = json.loads((tmp_path / f"p.{fmt}.meta.json").read_text())
+        assert meta["write_s"] >= 0.0, fmt
 
 
 def test_generate_raw_levels_flag(tmp_path):
@@ -228,6 +241,97 @@ def test_csv_roundtrip_never_errors(tmp_path):
         out = tmp_path / f"r{n}.csv"
         assert run(["generate", "--hurst", 0.6, "--steps", n, "--paths", 4, "--seed", n, "--out", out]) == 0
         assert run(["estimate", "--input", out]) == 0
+
+
+# ---------------------------------------------------------------- CSV reader
+
+
+def _outcome(read, path):
+    """A reader's values as int64 bit patterns, or its error message."""
+    try:
+        return read(str(path)).view(np.int64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_reader_values_bit_identical_to_float(tmp_path):
+    rng = np.random.default_rng(11)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 300_000, dtype=np.int64, endpoint=True)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    edge = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+    values = np.concatenate((edge, values, rng.standard_normal(1000)))
+    f = tmp_path / "bits.csv"
+    f.write_text("t,value\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(values)))
+    read = _read_path_csv(str(f))
+    assert read.dtype == np.float64 and read.shape == values.shape
+    assert np.array_equal(read.view(np.int64), values.view(np.int64))
+
+
+# (body after the header line, the line parser's values or its error at that path)
+_READER_CASES = {
+    "three fields every row": ("0,0.0,1\n1,1.5,2\n", ":2: expected two comma-separated fields"),
+    "one-field row": ("0,0.0\n1\n", ":3: expected two comma-separated fields"),
+    "header only": ("", []),
+    "blank lines": ("0,0.0\n\n  \n1,1.5\n\n", [0.0, 1.5]),
+    "padded whitespace": (" 0 , 0.5 \n\t1,\t-1.5\t\n", [0.5, -1.5]),
+    "crlf": ("0,0.0\r\n1,2.5\r\n", [0.0, 2.5]),
+    "hash in a field": ("0,0.0\n1,1.5 # x\n", ":3: unparsable value '1.5 # x'"),
+    "underscore digits": ("0,1_0\n", [10.0]),
+    "non-numeric t": ("x,1.5\n1,2.5\n", [1.5, 2.5]),
+    "trailing comma": ("0,1.5,\n", ":2: expected two comma-separated fields"),
+    "separator ahead of value": ("0,\x1c1.5\n", ":2: unparsable value '\\x1c1.5'"),
+    "infinite t": ("inf,1.5\n", [1.5]),
+    "nan value": ("0,0.0\n1,nan\n", ":3: non-finite value 'nan'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_READER_CASES))
+def test_reader_matches_line_parser(tmp_path, case):
+    body, expected = _READER_CASES[case]
+    f = tmp_path / "case.csv"
+    newline = "\r\n" if case == "crlf" else "\n"
+    f.write_bytes(f"t,value{newline}{body}".encode())
+    if isinstance(expected, list):
+        expected = np.array(expected, dtype=np.float64).view(np.int64).tolist()
+    else:
+        expected = f"{f}{expected}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(_read_path_csv, f) == _outcome(_parse_path_lines, f) == expected
+
+
+def test_reader_reads_a_generated_file_without_the_line_parser(tmp_path, monkeypatch):
+    out = tmp_path / "p.csv"
+    assert run(["generate", "--hurst", 0.7, "--steps", 512, "--paths", 8, "--seed", 2, "--out", out]) == 0
+    expected = _parse_path_lines(str(out))
+
+    def refuse(path):
+        raise AssertionError("fell back to the line parser")
+
+    monkeypatch.setattr(fbmwalk.cli, "_parse_path_lines", refuse)
+    assert np.array_equal(_read_path_csv(str(out)), expected)
+
+
+_ROW_PIECES = ["0", "1.5", "-2e-3", "nan", "inf", "1_0", "x", ",", ",", " ", "\t", "\n", "\n", "\r", "#",
+               "\x0c", "\x1c", "\x1f", "\xa0", "\x85", "\u2028", "\x00", "+", ".", "e", "5e-324", "1e999",
+               "\udcff"]  # the last is written as the undecodable byte 0xff
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(_ROW_PIECES), max_size=16))
+def test_reader_agrees_with_line_parser_on_any_body(tmp_path, pieces):
+    f = tmp_path / "any.csv"
+    f.write_bytes(("t,value\n" + "".join(pieces)).encode("utf-8", "surrogateescape"))
+    assert _outcome(_read_path_csv, f) == _outcome(_parse_path_lines, f)
+
+
+def test_reader_undecodable_byte_past_the_first_chunk(tmp_path):
+    # decoded inside loadtxt, not by the header read: the line parser's error all the same
+    f = tmp_path / "late.csv"
+    f.write_bytes(b"t,value\n" + b"".join(b"%d,%d.5\n" % (k, k) for k in range(20_000)) + b"1,\xff\n")
+    assert "can't decode byte 0xff" in _outcome(_parse_path_lines, f)
+    assert _outcome(_read_path_csv, f) == _outcome(_parse_path_lines, f)
 
 
 # ---------------------------------------------------------------- validate / spread

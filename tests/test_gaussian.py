@@ -79,6 +79,18 @@ def test_oracle_memory_is_linear_in_n():
     assert peak < 32 * 8 * n, peak / (8 * n)
 
 
+def test_oracle_draw_builds_in_one_buffer():
+    # the factor, one complex buffer and one 2n-normal draw at a time: about 8 x 8N
+    n = 1 << 16
+    tracemalloc.start()
+    try:
+        cholesky_fbm(HurstModel(0.7), n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 8 * n, peak / (8 * n)
+
+
 def test_path_shape_and_origin(model_07):
     path = cholesky_fbm(model_07, 32, seed=1)
     assert path.shape == (33,)
