@@ -76,19 +76,28 @@ def aggregated_variance_hurst(path: np.ndarray) -> float:
     return 1.0 + slope / 2.0
 
 
-def empirical_acf(increments: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased-normalised sample autocorrelations at lags 1..max_lag."""
-    x = np.asarray(increments, dtype=np.float64)
+def _acf_about(x: np.ndarray, centre: float, max_lag: int) -> np.ndarray:
+    """Autocorrelations at lags 1..max_lag of ``x - centre``, normalised by its energy.
+
+    Validation centres at a known process mean: sample-mean centring biases
+    long-memory ACFs by -Var(xbar)/Var(x).
+    """
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
+    x = np.asarray(x, dtype=np.float64) - centre
     n = x.shape[0]
     if n < 10 * max_lag:
         raise InsufficientLengthError(f"need at least {10 * max_lag} samples for {max_lag} lags")
-    x = x - x.mean()
     denom = float(np.dot(x, x))
     if denom == 0.0:
         raise DegeneratePathError("zero-variance sequence")
     return np.array([float(np.dot(x[: n - k], x[k:])) / denom for k in range(1, max_lag + 1)])
+
+
+def empirical_acf(increments: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased-normalised sample autocorrelations at lags 1..max_lag."""
+    x = np.asarray(increments, dtype=np.float64)
+    return _acf_about(x, x.mean(), max_lag)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "HurstModel",
     "fbm_covariance",
@@ -30,19 +32,36 @@ def fbm_covariance(s: float, t: float, h: float) -> float:
     return 0.5 * (t**e + s**e - abs(t - s) ** e)
 
 
-def fgn_autocovariance(m: int, h: float) -> float:
-    """Autocovariance of unit-variance fGn at integer lag m >= 0."""
-    if m < 0:
+def fgn_autocovariance(m, h: float):
+    """Autocovariance of unit-variance fGn at integer lag(s) m >= 0.
+
+    ``k^2H (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))) / 2``, free of the
+    cancellation in the difference of three powers (off by ~1e-4 near k = 1e6,
+    H = 0.989); 1 at lag 0.  A scalar lag gives a float, an array an array.
+    """
+    scalar = np.ndim(m) == 0
+    k = np.asarray(m, dtype=np.float64)
+    if np.any(k < 0):
         raise ValueError("lag must be nonnegative")
     if not 0.0 < h <= 1.0:
         raise ValueError(f"Hurst exponent must be in (0, 1], got {h}")
     e = 2.0 * h
-    return 0.5 * ((m + 1) ** e + abs(m - 1) ** e - 2.0 * m**e)
+    # lag 0 divides by zero and lag 1 takes log1p(-1) = -inf, whose expm1 is -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 0.5 * k**e * (np.expm1(e * np.log1p(1.0 / k)) + np.expm1(e * np.log1p(-1.0 / k)))
+    out = np.where(k == 0, 1.0, out)
+    return float(out) if scalar else out
 
 
 def one_step_fgn_correlation(h: float) -> float:
-    """Correlation of consecutive fGn increments, (2^2H - 2) / 2."""
-    return fgn_autocovariance(1, h)
+    """Correlation of consecutive fGn increments, (2^2H - 2) / 2.
+
+    Kept in closed form: the walk's tetrachoric ``delta1`` is this value, and
+    the general lag formula differs from it by an ulp at many H.
+    """
+    if not 0.0 < h <= 1.0:
+        raise ValueError(f"Hurst exponent must be in (0, 1], got {h}")
+    return 0.5 * (2.0 ** (2.0 * h) - 2.0)
 
 
 def scaling_constant(h: float) -> float:

@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fgn import HurstModel
+from .fgn import HurstModel, fgn_autocovariance
 from .special import std_normal_quantile
 
 __all__ = ["fgn_cholesky_factor", "cholesky_fbm", "dichotomized_gaussian_walk"]
-
-
-def _autocovariance_row(h: float, n: int) -> np.ndarray:
-    """fGn autocovariance at lags 0..n; the difference of three powers is off by ~1e-4 at k ~ 1e6."""
-    e, k = 2.0 * h, np.arange(1.0, n + 1)
-    with np.errstate(divide="ignore"):  # at k = 1, expm1(e * log1p(-1)) = expm1(-inf) = -1
-        tail = 0.5 * k**e * (np.expm1(e * np.log1p(1.0 / k)) + np.expm1(e * np.log1p(-1.0 / k)))
-    return np.concatenate(([1.0], tail))
 
 
 def fgn_cholesky_factor(model: HurstModel, n: int) -> np.ndarray:
@@ -33,12 +25,15 @@ def fgn_cholesky_factor(model: HurstModel, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"the fGn oracle needs N >= 1, got {n}")
-    row = _autocovariance_row(model.h, n)
+    # float lags: an integer range and its float copy would add 8N bytes to the peak
+    row = fgn_autocovariance(np.arange(n + 1.0), model.h)
     lam = np.fft.rfft(np.concatenate((row, row[-2:0:-1]))).real
     if lam.min() < 0.0:
         msg = f"fGn circulant embedding (N={n}, H={model.h}): eigenvalue {lam.min():.3g} < 0"
         raise np.linalg.LinAlgError(msg)
-    return np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / (2 * n))
+    s = np.concatenate((lam, lam[-2:0:-1]))
+    s /= 2 * n
+    return np.sqrt(s, out=s)
 
 
 def _exact_fgn(model: HurstModel, n: int, seed, factor: np.ndarray | None) -> np.ndarray:

@@ -12,10 +12,13 @@ redrawing until u < u_max, at one uniform per walk.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fgn import HurstModel
 from .link import n_step_correlation, sigma_max
+from .special import std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "InfeasibleTargetError",
@@ -123,28 +126,22 @@ def draw_persistence(u: np.ndarray, model: HurstModel) -> np.ndarray:
 
 
 def density_p(p, model: HurstModel):
-    """Nominal density of p on the increasing branch (scalar or array).
+    """Nominal density of p, ``F'(sigma1(p)) sigma1'(p)`` with ``F(s) = 1 - (1-s)^(2-2H)``.
 
-    ``g(p) = (1-H) 2^(3-2H) (1-v)^(1-2H) dv/dp`` with ``v = (sigma1(p)+1)/2``.
-    The derivative is a Richardson-extrapolated central difference with base
-    step 1e-6.  Negative for p > 1/2, where v(p) decreases by symmetry.
+    The derivative is exact.  With ``e = Phi2(z, z, delta1) - p^2`` at the
+    quantile z = z(p), ``e' = 2 (Phi(z sqrt((1-delta1)/(1+delta1))) - p)``, and
+    ``sigma1 = e / (p (1-p))`` gives ``sigma1' = (e' - sigma1 (1-2p)) / (p (1-p))``.
+    Scalar or array p in [P_FLOOR, 1 - P_FLOOR]; negative for p > 1/2, where
+    sigma1 decreases by symmetry.
     """
-    h_step = 1e-6
     scalar = np.ndim(p) == 0
     p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if np.any((p <= 2.0 * h_step) | (p >= 1.0 - 2.0 * h_step)):
-        raise ValueError("p outside the differentiable range")
+    if np.any((p < P_FLOOR) | (p > 1.0 - P_FLOOR)):
+        raise ValueError(f"p must lie in [{P_FLOOR}, 1 - {P_FLOOR}]")
+    d = model.delta1
     s1 = np.asarray(n_step_correlation(p, model, 1))
-    if np.any(s1 >= 1.0):
-        raise ValueError("sigma1(p) must be below 1")
-
-    def v(q: np.ndarray) -> np.ndarray:
-        return (np.asarray(n_step_correlation(q, model, 1)) + 1.0) / 2.0
-
-    def central(step: float) -> np.ndarray:
-        return (v(p + step) - v(p - step)) / (2.0 * step)
-
-    dv = (4.0 * central(h_step / 2.0) - central(h_step)) / 3.0
-    hh = model.h
-    out = (1.0 - hh) * 2.0 ** (3.0 - 2.0 * hh) * (1.0 - (s1 + 1.0) / 2.0) ** (1.0 - 2.0 * hh) * dv
+    zc = std_normal_quantile(p) * math.sqrt((1.0 - d) / (1.0 + d))
+    de = 2.0 * (np.array([std_normal_cdf(x) for x in zc]) - p)
+    ds1 = (de - s1 * (1.0 - 2.0 * p)) / (p * (1.0 - p))
+    out = (2.0 - 2.0 * model.h) * (1.0 - s1) ** (1.0 - 2.0 * model.h) * ds1
     return float(out[0]) if scalar else out

@@ -16,11 +16,11 @@ import numpy as np
 
 from ._kernels import expand_steps
 from .aggregate import _walk_levels, generate_fbm, walk_parameters
-from .estimators import estimate_report
+from .estimators import _acf_about, estimate_report
 from .fgn import HurstModel, theoretical_mixture_correlation
 from .gaussian import dichotomized_gaussian_walk, fgn_cholesky_factor
 from .link import n_step_correlation, sigma_max
-from .sampling import density_p, feasibility_threshold, solve_p_batch
+from .sampling import P_FLOOR, density_p, feasibility_threshold, solve_p_batch
 
 __all__ = ["Check", "run_validation", "jarque_bera", "replicate_spread"]
 
@@ -45,27 +45,10 @@ def jarque_bera(x: np.ndarray) -> tuple[float, float]:
     return jb, math.exp(-jb / 2.0)
 
 
-def _acf_known_mean(x: np.ndarray, mean: float, max_lag: int) -> np.ndarray:
-    """ACF centred at the known process mean.
-
-    Sample-mean centring (the reporting estimator in ``estimators``) biases
-    long-memory ACFs by -Var(xbar)/Var(x); validation against exact chain
-    laws must avoid that shift.
-    """
-    x = np.asarray(x, dtype=np.float64) - mean
-    denom = float(np.dot(x, x))
-    n = x.shape[0]
-    return np.array([float(np.dot(x[: n - k], x[k:])) / denom for k in range(1, max_lag + 1)])
-
-
-def _acf_with_se(
-    walks: list[np.ndarray], mean_value: float, max_lag: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean known-mean ACF across replicates with cross-replicate standard error."""
-    acfs = np.array([_acf_known_mean(w, mean_value, max_lag) for w in walks])
-    mean = acfs.mean(axis=0)
-    se = acfs.std(axis=0, ddof=1) / math.sqrt(acfs.shape[0])
-    return mean, se
+def _mean_se(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Mean across replicates (axis 0) and its cross-replicate standard error."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
 
 
 def _check_threshold(model: HurstModel) -> Check:
@@ -81,7 +64,7 @@ def _check_threshold(model: HurstModel) -> Check:
 
 
 def _check_roundtrip(model: HurstModel, rng: np.random.Generator, k: int = 200) -> Check:
-    s_floor = float(n_step_correlation(1e-8, model, 1))
+    s_floor = float(n_step_correlation(P_FLOOR, model, 1))
     targets = rng.uniform(s_floor, sigma_max(model), k)
     ps = solve_p_batch(targets, model)
     achieved = np.asarray(n_step_correlation(ps, model, 1))
@@ -99,10 +82,8 @@ def _check_paper_chain_law(
 ) -> Check:
     ps, keeps = walk_parameters("paper", np.array([0.4]), model)  # a representative draw
     p, rho = float(ps[0]), float(keeps[0])
-    walks = []
-    for _ in range(reps):
-        walks.append(expand_steps(*_walk_levels(rng, steps, p, rho), steps))
-    mean, se = _acf_with_se(walks, 2.0 * p - 1.0, 5)
+    walks = [expand_steps(*_walk_levels(rng, steps, p, rho), steps) for _ in range(reps)]
+    mean, se = _mean_se([_acf_about(w, 2.0 * p - 1.0, 5) for w in walks])
     lag_law = rho ** np.arange(1, 6)  # a renewal chain decays as keep^n
     prop2 = np.array([float(n_step_correlation(p, model, n)) for n in range(1, 6)])
     z = np.abs(mean - lag_law) / se
@@ -131,13 +112,11 @@ def _check_aggregate_acf(
     reps: int,
 ) -> Check:
     r_theory = np.array([theoretical_mixture_correlation(n, model.h) for n in range(1, 6)])
-    walks = []
-    for _ in range(reps):
-        path = generate_fbm(
-            model, n_steps, n_paths, mode=mode, seed=int(rng.integers(2**63)), workers=1
-        )
-        walks.append(np.diff(path.values))
-    mean, se = _acf_with_se(walks, 0.0, 5)
+    paths = [
+        generate_fbm(model, n_steps, n_paths, mode=mode, seed=int(rng.integers(2**63)), workers=1)
+        for _ in range(reps)
+    ]
+    mean, se = _mean_se([_acf_about(np.diff(path.values), 0.0, 5) for path in paths])
     z = np.abs(mean - r_theory) / se
     hard = mode == "enriquez"  # the untruncated mixture is the only exact match
     return Check(
@@ -179,17 +158,10 @@ def _check_dichotomized_oracle(
 ) -> Check:
     p = 0.3
     factor = fgn_cholesky_factor(model, n)
-    lag1 = []
-    marg = []
-    for _ in range(reps):
-        inc = dichotomized_gaussian_walk(model, p, n, rng, factor=factor).astype(np.float64)
-        lag1.append(_acf_known_mean(inc, 2.0 * p - 1.0, 1)[0])
-        marg.append(float(np.mean(inc == 1.0)))
+    incs = [dichotomized_gaussian_walk(model, p, n, rng, factor=factor) for _ in range(reps)]
     pred = float(n_step_correlation(p, model, 1))
-    m_lag = float(np.mean(lag1))
-    se_lag = float(np.std(lag1, ddof=1) / math.sqrt(reps))
-    m_p = float(np.mean(marg))
-    se_p = float(np.std(marg, ddof=1) / math.sqrt(reps))
+    m_lag, se_lag = map(float, _mean_se([_acf_about(inc, 2.0 * p - 1.0, 1)[0] for inc in incs]))
+    m_p, se_p = map(float, _mean_se([np.mean(inc == 1) for inc in incs]))
     z_lag = abs(m_lag - pred) / se_lag
     z_p = abs(m_p - p) / se_p
     return Check(

@@ -357,6 +357,17 @@ def test_validate_json_format(capsys):
     assert agg["hard"] is True and agg["passed"] is True
 
 
+@pytest.mark.parametrize("steps", [4, 16])
+def test_validate_too_few_steps_for_the_aggregate_acf(steps, capsys):
+    # 5 ACF lags need 50 increments; fewer is a numeric error, not a check
+    # that passes on the lags it could compute, nor a shape mismatch
+    code = run(["validate", "--hurst", 0.7, "--steps", steps, "--paths", 2, "--runs", 3])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "need at least 50 samples" in captured.err
+    assert "aggregate_acf" not in captured.out
+
+
 def test_validate_config_error():
     assert run(["validate", "--hurst", 0.49, "--seed", 1]) == 2
 

@@ -13,7 +13,7 @@ from fbmwalk import (
     n_step_correlation,
     phi_from_tetrachoric,
 )
-from fbmwalk.gaussian import _autocovariance_row, fgn_cholesky_factor
+from fbmwalk.gaussian import fgn_cholesky_factor
 
 from conftest import acf_known_mean, replicate_se
 
@@ -57,15 +57,33 @@ def test_autocovariance_row_matches_scalar_and_mpmath():
     mpmath = pytest.importorskip("mpmath")
     lags = [1, 2, 3, 10, 1000, 12_345, 100_000, 999_999, 1_000_000]
     for h in (0.51, 0.7, 0.989, 0.999):
-        row = _autocovariance_row(h, lags[-1])
-        assert row[0] == 1.0
-        small = np.array([fgn_autocovariance(m, h) for m in range(65)])
-        assert np.abs(row[:65] - small).max() <= 1e-12
+        row = fgn_autocovariance(np.arange(lags[-1] + 1), h)
+        assert row[0] == 1.0 and fgn_autocovariance(0, h) == 1.0
+        scalar = np.array([fgn_autocovariance(k, h) for k in lags])
+        assert type(fgn_autocovariance(1, h)) is float and np.array_equal(row[lags], scalar)
+        # at small lags the difference of three powers is still exact enough to compare with
+        e, m = 2.0 * h, np.arange(1.0, 65)
+        powers = 0.5 * ((m + 1) ** e + (m - 1) ** e - 2.0 * m**e)
+        assert np.abs(row[1:65] - powers).max() <= 1e-12
         e = mpmath.mpf(2 * h)
         with mpmath.workdps(40):
             exact = [float(((k + 1) ** e + mpmath.mpf(k - 1) ** e - 2 * mpmath.mpf(k) ** e) / 2) for k in lags]
-        # the difference of three powers is off by ~1e-5 at k = 1e6, H = 0.989
+        # the difference of three powers is off by ~1e-4 near k = 1e6, H = 0.989
         assert np.abs(row[lags] - exact).max() <= 1e-9, h
+        assert np.abs(scalar - exact).max() <= 1e-9, h
+
+
+def test_factor_builds_its_root_in_place():
+    # the row, its padded copy and their complex FFT: about 5 x 8N, with the
+    # quotient by 2n and the square root taken in the concatenated eigenvalues
+    n = 1 << 16
+    tracemalloc.start()
+    try:
+        fgn_cholesky_factor(HurstModel(0.7), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * n, peak / (8 * n)
 
 
 def test_oracle_memory_is_linear_in_n():

@@ -174,6 +174,21 @@ def test_density_integrates_to_feasibility_threshold(model_07, model_085):
         assert val + tail == pytest.approx(feasibility_threshold(m), abs=1e-5)
 
 
+@pytest.mark.parametrize("h", [0.55, 0.7, 0.85])
+def test_density_is_the_exact_derivative_of_the_target_law(h):
+    # on every panel the density integrates to F(sigma1(b)) - F(sigma1(a)),
+    # F(s) = 1 - (1-s)^(2-2H), to near machine precision; a finite-difference
+    # derivative leaves up to ~1e-9 relative here
+    m = HurstModel(h)
+
+    def target_cdf(q: float) -> float:
+        return -math.expm1((2.0 - 2.0 * h) * math.log1p(-float(n_step_correlation(q, m, 1))))
+
+    for a, b in ((1e-4, 0.01), (0.01, 0.3), (0.3, 0.5 - 1e-9)):
+        val, _ = integrate.quad(lambda q: density_p(q, m), a, b, epsabs=1e-14, limit=400)
+        assert val == pytest.approx(target_cdf(b) - target_cdf(a), rel=1e-12, abs=0.0), (a, b)
+
+
 def test_density_mass_deficit_below_one(model_07, model_055, model_085):
     for m in (model_07, model_055, model_085):
         assert 0.0 < feasibility_threshold(m) < 1.0
