@@ -3,10 +3,11 @@
 The standardised sum is linear in the walks, so no walk is expanded step by
 step: each trajectory draws its first bit and the geometric sojourns of its
 bit, and scatters its standardised first step and its weighted flips into
-the second-difference array of its 64-trajectory block.  The block arrays
-are summed in a fixed order (pairwise within groups of 16 blocks, groups in
-index order), two prefix sums turn the result into the summed standardised
-levels, and the sum is rescaled by ``a_H / (N^H sqrt(M))``.
+a second-difference array of its 64-trajectory block.  The block arrays
+are summed in one balanced pairwise tree, built depth first so that at most
+about log2 of the block count arrays are held at once; two prefix sums turn
+the result into the summed standardised levels, and the sum is rescaled by
+``a_H / (N^H sqrt(M))``.
 
 Each walk's parameters (p, keep) are one map of one uniform, vectorised
 over all M walks (``walk_parameters``).  Every 64-trajectory block owns a
@@ -36,19 +37,9 @@ from .sampling import _draw_target, draw_persistence, solve_p_batch
 __all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm", "walk_parameters"]
 
 BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
-# Version of the output stream, recorded in every sidecar: raised whenever the
-# bytes fixed by (config, seed) change on purpose.  2: one bivariate route at
-# every correlation (bytes moved only where delta1 >= 0.925, i.e. H >= 0.9725).
-# 3: one renewal kernel reading one uniform per step, and one 20-point
-# quadrature rule (every walk mode moved; the oracle did not).  4: each walk
-# is drawn as its first bit and geometric sojourns, and aggregated from its
-# flips (every walk mode moved; the oracle did not).  5: one uniform per walk
-# mapped to (p, keep), and one generator per 64-trajectory block (every walk
-# mode moved; the oracle did not).  6: the oracle draws exact fGn by circulant
-# embedding, not a dense Cholesky factor (the oracle moved; no walk mode did).
-STREAM_VERSION = 6
+# Version of the output stream, recorded in every sidecar; README lists what each one moved
+STREAM_VERSION = 7
 _BLOCK = 64  # trajectories sharing one generator and one second-difference array
-_GROUP = 16  # blocks summed pairwise at a time, so at most 16 block arrays are held
 
 
 @dataclass(frozen=True)
@@ -173,25 +164,24 @@ def generate_fbm(
     ps, keeps = walk_parameters(mode, u, model)
     t1 = time.perf_counter()
 
-    def block(b: int) -> tuple[np.ndarray, np.ndarray]:
-        d2 = np.zeros(n_steps, dtype=np.float64)
-        start, stop = b * _BLOCK, min((b + 1) * _BLOCK, n_paths)
-        n_flips = np.empty(stop - start, dtype=np.int64)
-        for i, (p, keep) in enumerate(zip(ps[start:stop].tolist(), keeps[start:stop].tolist())):
-            up, flips = _walk_levels(rngs[b], n_steps, p, keep)
-            standardized_levels(d2, up, flips, p)
-            n_flips[i] = len(flips)
-        return d2, n_flips
+    flip_counts = np.empty(n_paths, dtype=np.int64)
 
-    total = np.zeros(n_steps, dtype=np.float64)
-    flip_counts = []
-    for first in range(0, n_blocks, _GROUP):
-        blocks = [block(b) for b in range(first, min(first + _GROUP, n_blocks))]
-        total += _pairwise_sum([d2 for d2, _ in blocks])
-        flip_counts += [n_flips for _, n_flips in blocks]
+    def tree(lo: int, hi: int) -> np.ndarray:
+        # blocks lo..hi-1, depth first; the left part is the largest power of two below hi - lo
+        if hi - lo > 1:
+            mid = lo + (1 << (hi - lo - 1).bit_length() - 1)
+            return _pairwise_sum([tree(lo, mid), tree(mid, hi)])
+        d2 = np.zeros(n_steps, dtype=np.float64)
+        start, stop = lo * _BLOCK, min(hi * _BLOCK, n_paths)
+        for i, p, keep in zip(range(start, stop), ps[start:stop].tolist(), keeps[start:stop].tolist()):
+            up, flips = _walk_levels(rngs[lo], n_steps, p, keep)
+            standardized_levels(d2, up, flips, p)
+            flip_counts[i] = len(flips)
+        return d2
+
+    total = tree(0, n_blocks)
     np.cumsum(total, out=total)
     np.cumsum(total, out=total)
-    flip_counts = np.concatenate(flip_counts)
 
     values = np.empty(n_steps + 1, dtype=np.float64)
     values[0] = 0.0

@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         np.linalg.LinAlgError,
     ) as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     except ValueError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)

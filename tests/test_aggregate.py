@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def test_same_seed_same_bytes(model_07):
 
 
 def test_worker_count_invariance(model_07):
-    # M = 1100 spans two groups of 16 reduction blocks
+    # M = 1100 spans 18 reduction blocks
     for mode, m_paths in (("paper", 25), ("enriquez", 25), ("paper", 1100)):
         ref = generate_fbm(model_07, 96, m_paths, mode=mode, seed=3, workers=1)
         for w in (2, 8):
@@ -141,6 +142,18 @@ def test_event_aggregate_matches_dense_expansion(h, n, m, seed, mode):
     assert np.max(np.abs(event - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
+def test_block_sum_memory_is_logarithmic_in_blocks():
+    # 64 blocks summed depth first hold about log2(64) block arrays, not one per block
+    n = 1 << 16
+    tracemalloc.start()
+    try:
+        generate_fbm(HurstModel(0.7), n, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * n, peak / (8 * n)
+
+
 def test_meta_records_run(model_07):
     path = generate_fbm(model_07, 64, 32, seed=9, workers=2)
     meta = path.meta
@@ -150,7 +163,7 @@ def test_meta_records_run(model_07):
     assert meta["resample_total"] == 0
     assert meta["throughput_steps_per_s"] > 0
     assert meta["backend"] == "numpy"
-    assert meta["stream_version"] == 6
+    assert meta["stream_version"] == 7
     assert meta["flips_total"] > 0
     assert meta["flips_per_path"]["min"] <= meta["flips_per_path"]["median"] <= meta["flips_per_path"]["max"]
     assert 0.0 < meta["p"]["min"] <= meta["p"]["max"] <= 0.5

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fbmwalk.cli
 from fbmwalk.cli import _CSV_CHUNK, _parse_path_lines, _read_path_csv, _write_path_csv, main
+from fbmwalk.validate import Check
 
 
 def run(argv):
@@ -32,7 +33,7 @@ def test_generate_csv_schema(tmp_path):
     assert meta["paths"] == 8
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
-    assert meta["stream_version"] == 6
+    assert meta["stream_version"] == 7
     assert "resample_total" in meta and "wall_time_s" in meta
 
 
@@ -89,7 +90,7 @@ def test_generate_gaussian_oracle_schema(tmp_path):
     assert lines[1] == "0,0.0"
     assert len(lines) == 514
     meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-    assert meta["stream_version"] == 6
+    assert meta["stream_version"] == 7
 
 
 def test_generate_oracle_sidecar_omits_walk_options(tmp_path):
@@ -136,6 +137,11 @@ def test_chunked_csv_writer_matches_row_format(tmp_path):
     out = tmp_path / "chunked.csv"
     _write_path_csv(str(out), times, values)
     assert out.read_text() == "t,value\n" + rows
+
+
+def test_generate_out_is_a_directory(tmp_path, capsys):
+    assert run(["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--out", tmp_path]) == 2
+    assert "error: config:" in capsys.readouterr().err
 
 
 def test_generate_config_errors(tmp_path):
@@ -234,6 +240,26 @@ def test_estimate_parse_error_with_line(tmp_path, capsys):
 
 def test_estimate_missing_file(tmp_path):
     assert run(["estimate", "--input", tmp_path / "absent.csv"]) == 2
+
+
+def test_estimate_input_is_a_directory(tmp_path, capsys):
+    assert run(["estimate", "--input", tmp_path]) == 2
+    assert "error: config:" in capsys.readouterr().err
+
+
+def test_estimate_wrong_header(tmp_path, capsys):
+    f = tmp_path / "header.csv"
+    f.write_text("time,level\n0,0.0\n")
+    assert run(["estimate", "--input", f]) == 2
+    assert f"{f}:1: expected header" in capsys.readouterr().err
+
+
+def test_estimate_zero_lags(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    run(["generate", "--hurst", 0.7, "--steps", 512, "--paths", 16, "--seed", 4, "--out", out])
+    capsys.readouterr()
+    assert run(["estimate", "--input", out, "--lags", 0]) == 2
+    assert "max_lag must be >= 1" in capsys.readouterr().err
 
 
 def test_csv_roundtrip_never_errors(tmp_path):
@@ -368,6 +394,15 @@ def test_validate_too_few_steps_for_the_aggregate_acf(steps, capsys):
     assert "aggregate_acf" not in captured.out
 
 
+def test_validate_hard_failure_exits_4(monkeypatch, capsys):
+    failed = Check("stub_property", passed=False, hard=True)
+    monkeypatch.setattr(fbmwalk.cli, "run_validation", lambda *args, **kwargs: [failed])
+    assert run(["validate", "--hurst", 0.7]) == 4
+    captured = capsys.readouterr()
+    assert "[FAIL] stub_property" in captured.out
+    assert "validation: failed: stub_property" in captured.err
+
+
 def test_validate_config_error():
     assert run(["validate", "--hurst", 0.49, "--seed", 1]) == 2
 
@@ -428,3 +463,16 @@ def test_spread_report(tmp_path):
     assert len(doc["estimates"]) == 6
     assert doc["min"] <= doc["mean"] <= doc["max"]
     assert sum(doc["histogram_counts"]) == 6
+
+
+def test_spread_report_to_stdout(capsys):
+    argv = ["spread", "--hurst", 0.7, "--steps", 256, "--paths", 4, "--replicates", 2, "--seed", 1]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["replicates"] == 2
+
+
+def test_spread_out_is_a_directory(tmp_path, capsys):
+    argv = ["spread", "--hurst", 0.7, "--steps", 256, "--paths", 4, "--replicates", 2, "--out", tmp_path]
+    assert run(argv) == 2
+    assert "error: config:" in capsys.readouterr().err
