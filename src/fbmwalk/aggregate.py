@@ -3,11 +3,10 @@
 The standardised sum is linear in the walks, so no walk is expanded step by
 step: each trajectory draws its first bit and the geometric sojourns of its
 bit, and scatters its standardised first step and its weighted flips into
-a second-difference array of its 64-trajectory block.  The block arrays
-are summed in one balanced pairwise tree, built depth first so that at most
-about log2 of the block count arrays are held at once; two prefix sums turn
-the result into the summed standardised levels, and the sum is rescaled by
-``a_H / (N^H sqrt(M))``.
+one second-difference array, the returned path's ``values[1:]``, in walk
+order.  Two prefix sums in place turn it into the summed standardised
+levels, which are rescaled in place by ``a_H / (N^H sqrt(M))``.  So the
+only N-sized arrays are the path, its times and one walk's flips.
 
 Each walk's parameters (p, keep) are one map of one uniform, vectorised
 over all M walks (``walk_parameters``).  Every 64-trajectory block owns a
@@ -38,8 +37,8 @@ __all__ = ["AggregatedPath", "BACKEND", "STREAM_VERSION", "generate_fbm", "walk_
 
 BACKEND = "numpy"  # the kernel lane, recorded in the sidecar's "backend" field
 # Version of the output stream, recorded in every sidecar; README lists what each one moved
-STREAM_VERSION = 7
-_BLOCK = 64  # trajectories sharing one generator and one second-difference array
+STREAM_VERSION = 8
+_BLOCK = 64  # trajectories sharing one generator
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,8 @@ class AggregatedPath:
     meta: dict = field(default_factory=dict)
 
 
-# perfbench/layers.py times the walk's draws, its scatter and the block
-# reduction by wrapping _walk_levels, standardized_levels and _pairwise_sum
-# here, so the three keep their names
+# perfbench/layers.py times the walk's draws and its scatter by wrapping
+# _walk_levels and standardized_levels here, so the two keep their names
 def standardized_levels(d2: np.ndarray, up: bool, flips: np.ndarray, p: float) -> None:
     """Scatter one walk's standardised steps into a second-difference array.
 
@@ -121,6 +119,7 @@ def _walk_levels(rng: np.random.Generator, n: int, p: float, keep: float) -> tup
         start = int(at[-1])
 
 
+# no longer called; kept while perfbench's WRAPPED lists it (ROADMAP item 1)
 def _pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
     while len(arrays) > 1:
         merged = [arrays[i] + arrays[i + 1] for i in range(0, len(arrays) - 1, 2)]
@@ -165,27 +164,16 @@ def generate_fbm(
     t1 = time.perf_counter()
 
     flip_counts = np.empty(n_paths, dtype=np.int64)
-
-    def tree(lo: int, hi: int) -> np.ndarray:
-        # blocks lo..hi-1, depth first; the left part is the largest power of two below hi - lo
-        if hi - lo > 1:
-            mid = lo + (1 << (hi - lo - 1).bit_length() - 1)
-            return _pairwise_sum([tree(lo, mid), tree(mid, hi)])
-        d2 = np.zeros(n_steps, dtype=np.float64)
-        start, stop = lo * _BLOCK, min(hi * _BLOCK, n_paths)
-        for i, p, keep in zip(range(start, stop), ps[start:stop].tolist(), keeps[start:stop].tolist()):
-            up, flips = _walk_levels(rngs[lo], n_steps, p, keep)
-            standardized_levels(d2, up, flips, p)
-            flip_counts[i] = len(flips)
-        return d2
-
-    total = tree(0, n_blocks)
-    np.cumsum(total, out=total)
-    np.cumsum(total, out=total)
-
-    values = np.empty(n_steps + 1, dtype=np.float64)
-    values[0] = 0.0
-    values[1:] = model.a_h * total / (n_steps**model.h * np.sqrt(n_paths))
+    values = np.zeros(n_steps + 1, dtype=np.float64)
+    d2 = values[1:]
+    for i, (p, keep) in enumerate(zip(ps.tolist(), keeps.tolist())):
+        up, flips = _walk_levels(rngs[i // _BLOCK], n_steps, p, keep)
+        standardized_levels(d2, up, flips, p)
+        flip_counts[i] = len(flips)
+    np.cumsum(d2, out=d2)
+    np.cumsum(d2, out=d2)
+    d2 *= model.a_h
+    d2 /= n_steps**model.h * np.sqrt(n_paths)
     t2 = time.perf_counter()
     steps = n_steps * n_paths
     meta = {

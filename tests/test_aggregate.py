@@ -142,16 +142,18 @@ def test_event_aggregate_matches_dense_expansion(h, n, m, seed, mode):
     assert np.max(np.abs(event - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
-def test_block_sum_memory_is_logarithmic_in_blocks():
-    # 64 blocks summed depth first hold about log2(64) block arrays, not one per block
+@pytest.mark.parametrize("m", [1024, 4096])
+def test_memory_does_not_grow_with_blocks(m):
+    # every walk adds into the returned path, so 16 or 64 blocks hold the path and its times only
     n = 1 << 16
+    generate_fbm(HurstModel(0.7), 2, 1)  # a first call imports numpy submodules, about 1.8 MB once
     tracemalloc.start()
     try:
-        generate_fbm(HurstModel(0.7), n, 4096)
+        generate_fbm(HurstModel(0.7), n, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 8 * n, peak / (8 * n)
+    assert peak <= 3.5 * 8 * n, peak / (8 * n)
 
 
 def test_meta_records_run(model_07):
@@ -163,7 +165,7 @@ def test_meta_records_run(model_07):
     assert meta["resample_total"] == 0
     assert meta["throughput_steps_per_s"] > 0
     assert meta["backend"] == "numpy"
-    assert meta["stream_version"] == 7
+    assert meta["stream_version"] == 8
     assert meta["flips_total"] > 0
     assert meta["flips_per_path"]["min"] <= meta["flips_per_path"]["median"] <= meta["flips_per_path"]["max"]
     assert 0.0 < meta["p"]["min"] <= meta["p"]["max"] <= 0.5

@@ -33,7 +33,7 @@ def test_generate_csv_schema(tmp_path):
     assert meta["paths"] == 8
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
-    assert meta["stream_version"] == 7
+    assert meta["stream_version"] == 8
     assert "resample_total" in meta and "wall_time_s" in meta
 
 
@@ -90,7 +90,7 @@ def test_generate_gaussian_oracle_schema(tmp_path):
     assert lines[1] == "0,0.0"
     assert len(lines) == 514
     meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-    assert meta["stream_version"] == 7
+    assert meta["stream_version"] == 8
 
 
 def test_generate_oracle_sidecar_omits_walk_options(tmp_path):

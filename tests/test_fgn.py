@@ -82,6 +82,13 @@ def test_fgn_negative_lag_rejected():
         fgn_autocovariance(-1, 0.7)
 
 
+def test_fgn_hurst_out_of_range_rejected():
+    with pytest.raises(ValueError):
+        fgn_autocovariance(1, 1.2)
+    with pytest.raises(ValueError):
+        one_step_fgn_correlation(0.0)
+
+
 def test_fgn_sum_reproduces_fbm_variance():
     # Var(B(n)) from unit increments: sum_{i,j} autocov(|i-j|) = n^2H
     for h in (0.55, 0.7, 0.85):
@@ -163,6 +170,13 @@ def test_mixture_positive_decreasing():
         vals = [theoretical_mixture_correlation(n, h) for n in range(1, 50)]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_mixture_domain():
+    with pytest.raises(ValueError):
+        theoretical_mixture_correlation(0, 0.7)
+    with pytest.raises(ValueError):
+        theoretical_mixture_correlation(1, 0.5)
 
 
 def test_mixture_no_overflow_large_n():

@@ -109,6 +109,11 @@ def test_solve_infeasible_target_raises(model_07):
         solve_one(sigma_max(model_07) + 1e-6, model_07)
 
 
+def test_solve_negative_target_raises(model_07):
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_p_batch(np.array([-0.1]), model_07)
+
+
 def test_scalar_solve_matches_batch(model_07):
     # each target is solved independently of the others in its batch
     targets = np.array([0.01, 0.05, 0.1, 0.2])
