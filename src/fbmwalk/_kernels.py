@@ -14,19 +14,37 @@ from __future__ import annotations
 import numpy as np
 
 
-def renewal_flips(sojourns: np.ndarray, n: int, start: int = 0) -> np.ndarray:
-    """Steps in [start, n) at which the bit flips, for sojourns starting at ``start``.
+def group_flips(
+    sojourns: np.ndarray, counts: np.ndarray, n: int, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flip steps below n of a group of walks whose sojourns come walk after walk.
 
-    Sojourn j (lengths >= 1) ends at ``start + sojourns[0] + ... + sojourns[j]``,
-    where the bit flips.  Each sojourn is clipped at n before the prefix sum:
-    a geometric draw at a vanishing leave probability can be 2^63 - 1, and a
-    sum of such draws would wrap.  Returns the int64 flip steps below n,
-    strictly increasing.
+    Walk j owns the next ``counts[j]`` (at least 1) sojourns, and its bit
+    flips at the end of each, counted from step ``start[j]``.  The int64
+    ``sojourns``, each from 1 to n + 1 (a longer one only ends past n too,
+    and a sum of them could wrap), is the work array: each walk's first
+    sojourn gains its start less the previous walk's end, so one prefix sum
+    in place gives every walk's ends.  Returns the int64 flip steps below n,
+    walk after walk and strictly increasing within each, and each walk's
+    count of them.
     """
-    at = np.minimum(sojourns, n)
+    at = sojourns
+    first = np.cumsum(counts) - counts
+    last_end = start + np.add.reduceat(at, first)
+    at[first[0]] += start[0]
+    at[first[1:]] += start[1:] - last_end[:-1]
     np.cumsum(at, out=at)
-    at += start
-    return at[: np.searchsorted(at, n)]
+    below = at < n
+    return at[below], np.add.reduceat(below, first, dtype=np.int64)
+
+
+def renewal_flips(sojourns: np.ndarray, n: int, start: int = 0) -> np.ndarray:
+    """Steps in [start, n) at which one walk's bit flips, for sojourns starting at ``start``.
+
+    ``group_flips`` for a group of one, after clipping each sojourn at n: a
+    geometric draw at a vanishing leave probability can be 2^63 - 1.
+    """
+    return group_flips(np.minimum(sojourns, n), np.array([len(sojourns)]), n, np.array([start]))[0]
 
 
 def expand_steps(up: bool, flips, n: int) -> np.ndarray:

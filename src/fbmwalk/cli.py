@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -117,10 +118,25 @@ def _parse_path_lines(path: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError now, before any work, if ``path`` cannot be opened for writing.
+
+    Opening to append truncates no existing file, and a file the check
+    created is removed again.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     model = HurstModel(args.hurst)
     if args.paths < 1 or args.workers < 1:
         return _fail("config", "--paths and --workers must be >= 1", EXIT_CONFIG)
+    _check_writable(args.out)
+    _check_writable(args.out + ".meta.json")
     t0 = time.perf_counter()
     if args.mode == "gaussian-oracle":
         values = cholesky_fbm(model, args.steps, args.seed)
@@ -218,6 +234,8 @@ def cmd_spread(args: argparse.Namespace) -> int:
     model = HurstModel(args.hurst)
     if args.replicates < 1:
         return _fail("config", "--replicates must be >= 1", EXIT_CONFIG)
+    if args.out:
+        _check_writable(args.out)
     doc = replicate_spread(
         model,
         n_steps=args.steps,

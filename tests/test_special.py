@@ -78,6 +78,22 @@ def test_cdf_against_series_oracle():
     assert abs(std_normal_cdf(1.959964) - 0.975) <= 1e-9
 
 
+def test_cdf_scalar_and_array_agree_and_match_libm_erfc():
+    # one array code path: a scalar call gives the same bits as the array
+    # element; both are 0.5 erfc(-x / sqrt 2) of libm to 1e-15 relative while
+    # the value is a normal double, and to a few subnormal ulps below that
+    xs = np.concatenate(([0.0, -0.0, 0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0)], np.linspace(-38.0, 38.0, 40_001)))
+    xs = np.concatenate((xs, -xs, np.nextafter(xs, np.inf)))
+    got = std_normal_cdf(xs)
+    assert isinstance(std_normal_cdf(0.3), float)
+    assert all(std_normal_cdf(float(x)) == g for x, g in zip(xs[::37], got[::37]))
+    ref = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in xs])
+    normal = ref >= np.finfo(np.float64).tiny
+    assert np.max(np.abs(got - ref)[normal] / ref[normal]) <= 4e-15
+    assert np.max(np.abs(got - ref)[~normal]) <= 1e-322
+    assert std_normal_cdf(-38.0) > 0.0 and std_normal_cdf(38.0) == 1.0
+
+
 @given(st.floats(-8, 8), st.floats(-8, 8))
 def test_cdf_monotone(a, b):
     lo, hi = min(a, b), max(a, b)
