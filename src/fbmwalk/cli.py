@@ -7,12 +7,16 @@ Exit codes: 0 success, 2 configuration/input error, 3 numeric error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 import warnings
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,14 +47,62 @@ def _fail(category: str, message: str, code: int) -> int:
 _CSV_CHUNK = 1 << 16  # rows formatted and written at a time
 
 
-def _write_path_csv(out: str, times: np.ndarray, values: np.ndarray) -> None:
+def _write_rows(fh, times: np.ndarray, values: np.ndarray) -> None:
     # t at 12 significant digits, values as shortest round-trip decimals (%r
     # is repr); one %-format per chunk of rows, so memory stays bounded as N grows
-    with open(out, "w", newline="\n") as fh:
-        fh.write("t,value\n")
-        for i in range(0, len(values), _CSV_CHUNK):
-            rows = np.column_stack((times[i : i + _CSV_CHUNK], values[i : i + _CSV_CHUNK])).ravel().tolist()
-            fh.write("%.12g,%r\n" * (len(rows) // 2) % tuple(rows))
+    for i in range(0, len(values), _CSV_CHUNK):
+        rows = np.column_stack((times[i : i + _CSV_CHUNK], values[i : i + _CSV_CHUNK])).ravel().tolist()
+        fh.write(("%.12g,%r\n" * (len(rows) // 2) % tuple(rows)).encode())
+
+
+def _write_part(part, times: np.ndarray, values: np.ndarray) -> NoReturn:
+    """Format rows into ``part`` in a forked child, which leaves only by ``os._exit``.
+
+    So the child runs no atexit handler and flushes no buffer it inherited.
+    """
+    code = 1
+    try:
+        _write_rows(part, times, values)
+        part.flush()
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())  # the traceback, as the interpreter would print it
+    finally:
+        os._exit(code)
+
+
+def _write_path_csv(out: str, times: np.ndarray, values: np.ndarray) -> int:
+    """Write the path as CSV; return the number of processes that formatted it.
+
+    Formatting, not writing, is the cost, and rows are independent: the rows
+    are cut into k contiguous parts, k the usable CPUs but at most one part
+    per full chunk.  Parts 2..k are formatted by forked children into
+    anonymous temporary files beside ``out`` and appended in order, so the
+    bytes are the same at every k.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = max(1, min(cpus, len(values) // _CSV_CHUNK))
+    cuts = [len(values) * j // k for j in range(k + 1)]
+    with open(out, "wb") as fh, contextlib.ExitStack() as parts:
+        fh.write(b"t,value\n")
+        children = []  # (pid, part file)
+        try:
+            for a, b in zip(cuts[1:-1], cuts[2:]):
+                part = parts.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(out))))
+                pid = os.fork()
+                if pid == 0:
+                    _write_part(part, times[a:b], values[a:b])
+                children.append((pid, part))
+            _write_rows(fh, times[: cuts[1]], values[: cuts[1]])
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for j, code in enumerate(codes, start=2):
+            if code != 0:
+                raise OSError(f"formatting CSV part {j} of {k} failed (exit status {code})")
+        for _, part in children:
+            part.seek(0)
+            shutil.copyfileobj(part, fh)
+    return k
 
 
 def _write_path_json(out: str, times: np.ndarray, values: np.ndarray) -> None:
@@ -174,9 +226,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     t_write = time.perf_counter()
     if args.format == "csv":
-        _write_path_csv(args.out, times, values)
+        meta["write_processes"] = _write_path_csv(args.out, times, values)
     else:
         _write_path_json(args.out, times, values)
+        meta["write_processes"] = 1
     meta["write_s"] = time.perf_counter() - t_write
     with open(args.out + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -23,28 +23,33 @@ __all__ = [
 ]
 
 
-def _phi2_excess(p, delta: float):
+def _phi2_excess(p, delta: float, z=None):
     """Phi2(z(p), z(p), delta) - p^2, scalar or vectorised over p.
 
     Scalars run through the same vector code path so that batch and one-off
     evaluations agree bit for bit (the walk's sojourn laws are drawn at these
-    values, where a one-ulp difference would change the draws).  Raises
-    ValueError unless -1 < delta < 1 and every p lies in (0, 1).
+    values, where a one-ulp difference would change the draws).  ``z``, if
+    given, is ``std_normal_quantile(p)`` already computed by the caller; the
+    result is the same bits.  Raises ValueError unless -1 < delta < 1 and
+    every p lies in (0, 1).
     """
     if not -1.0 < delta < 1.0:
         raise ValueError(f"tetrachoric correlation must satisfy |delta| < 1, got {delta}")
     scalar = np.ndim(p) == 0
-    out = bvn_cdf_excess_diag(std_normal_quantile(np.atleast_1d(p)), delta)
+    if z is None:
+        z = std_normal_quantile(np.atleast_1d(p))
+    out = bvn_cdf_excess_diag(np.atleast_1d(z), delta)
     return float(out[0]) if scalar else out
 
 
-def phi_from_tetrachoric(p, delta: float):
+def phi_from_tetrachoric(p, delta: float, z=None):
     """Phi coefficient of the dichotomised pair with equal margins p.
 
     ``(Phi2(z(p), z(p), delta) - p^2) / (p (1 - p))``; zero at delta = 0,
-    attenuated toward zero as p leaves 1/2.  Accepts scalar or array p.
+    attenuated toward zero as p leaves 1/2.  Accepts scalar or array p, and
+    optionally its quantile ``z`` (see ``_phi2_excess``).
     """
-    excess = _phi2_excess(p, delta)
+    excess = _phi2_excess(p, delta, z)
     p = np.asarray(p, dtype=np.float64) if np.ndim(p) else p
     return excess / (p * (1.0 - p))
 

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .fgn import HurstModel
-from .link import n_step_correlation, sigma_max
+from .link import n_step_correlation, phi_from_tetrachoric, sigma_max
 from .special import std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -79,7 +79,8 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel, stats: dict | None = N
     and keeps a bracket [lo, hi] in x from the sign of the residual.  A step
     that leaves the bracket is replaced by its midpoint; a step onto a bracket
     end is kept, as a converged iterate lands there.  Each pass evaluates
-    only the targets not yet done, for at most 64 passes.  Targets at or
+    only the targets not yet done, for at most 64 passes, and takes the
+    normal quantile of its p once for both sigma1 and the derivative.  Targets at or
     below sigma1(P_FLOOR) collapse to the floor (the walk degenerates toward
     a constant-sign path there), sigma_max gives p = 1/2, and targets above
     sigma_max raise.  Every p is then checked against CORR_TOL.  ``stats``,
@@ -105,11 +106,12 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel, stats: dict | None = N
         passes += 1
         xa, t = x[active], targets[active]
         p = np.exp(xa)
-        s1 = np.asarray(n_step_correlation(p, model, 1))
+        z = std_normal_quantile(p)  # one quantile per pass, for sigma1 and its derivative
+        s1 = phi_from_tetrachoric(p, model.delta1, z)
         below = s1 <= t
         lo[active] = np.where(below, xa, lo[active])
         hi[active] = np.where(below, hi[active], xa)
-        de = 2.0 * (std_normal_cdf(std_normal_quantile(p) * shrink) - p)
+        de = 2.0 * (std_normal_cdf(z * shrink) - p)
         step = np.log(s1 / t) * s1 * (1.0 - p) / (de - s1 * (1.0 - 2.0 * p))
         xn = xa - step
         la, ha = lo[active], hi[active]
@@ -166,9 +168,9 @@ def density_p(p, model: HurstModel):
     if np.any((p < P_FLOOR) | (p > 1.0 - P_FLOOR)):
         raise ValueError(f"p must lie in [{P_FLOOR}, 1 - {P_FLOOR}]")
     d = model.delta1
-    s1 = np.asarray(n_step_correlation(p, model, 1))
-    zc = std_normal_quantile(p) * math.sqrt((1.0 - d) / (1.0 + d))
-    de = 2.0 * (std_normal_cdf(zc) - p)
+    z = std_normal_quantile(p)
+    s1 = phi_from_tetrachoric(p, d, z)
+    de = 2.0 * (std_normal_cdf(z * math.sqrt((1.0 - d) / (1.0 + d))) - p)
     ds1 = (de - s1 * (1.0 - 2.0 * p)) / (p * (1.0 - p))
     out = (2.0 - 2.0 * model.h) * (1.0 - s1) ** (1.0 - 2.0 * model.h) * ds1
     return float(out[0]) if scalar else out

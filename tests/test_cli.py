@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -110,13 +111,24 @@ def test_generate_json_format(tmp_path):
     assert doc["value"][0] == 0.0
 
 
-def test_generate_sidecar_records_write_time(tmp_path):
+def test_generate_sidecar_records_write_time(tmp_path, monkeypatch):
     for fmt in ("csv", "json"):
         out = tmp_path / f"p.{fmt}"
         argv = ["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--out", out, "--format", fmt]
         assert run(argv) == 0
         meta = json.loads((tmp_path / f"p.{fmt}.meta.json").read_text())
         assert meta["write_s"] >= 0.0, fmt
+        assert meta["write_processes"] == 1, fmt
+    # two full chunks of rows split over two usable CPUs, and not over one;
+    # JSON is written by one process at any size
+    steps = 2 * _CSV_CHUNK
+    for cpus, fmt, processes in ((2, "csv", 2), (1, "csv", 1), (2, "json", 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / f"long.{fmt}"
+        argv = ["generate", "--hurst", 0.7, "--mode", "enriquez", "--steps", steps, "--paths", 2, "--out", out]
+        assert run([*argv, "--format", fmt]) == 0
+        meta = json.loads((tmp_path / f"long.{fmt}.meta.json").read_text())
+        assert meta["write_processes"] == processes, (cpus, fmt)
 
 
 def test_generate_raw_levels_flag(tmp_path):
@@ -126,17 +138,67 @@ def test_generate_raw_levels_flag(tmp_path):
     assert first_rows == ["0", "1", "2", "3"]
 
 
-def test_chunked_csv_writer_matches_row_format(tmp_path):
-    # the rows the writer made before it wrote in chunks, one f-string per row
-    n = 2 * _CSV_CHUNK + 7
-    rng = np.random.default_rng(4)
+def _row_reference(times, values) -> str:
+    """The file as one f-string per row writes it."""
+    return "t,value\n" + "".join(f"{t:.12g},{float(v)!r}\n" for t, v in zip(times, values))
+
+
+def _awkward_rows(n: int, seed: int):
+    """n rows of values over the whole double range, with -0.0, the least
+    subnormal and 17-digit values at the chunk edges."""
+    rng = np.random.default_rng(seed)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     values[[0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, n - 1]] = [-0.0, 5e-324, 1e16, -1e16, 0.1]
-    times = np.arange(n, dtype=np.float64) / (n - 1)
-    rows = "".join(f"{t:.12g},{float(v)!r}\n" for t, v in zip(times, values))
+    return np.arange(n, dtype=np.float64) / (n - 1), values
+
+
+def test_chunked_csv_writer_matches_row_format(tmp_path):
+    # the rows the writer made before it wrote in chunks, one f-string per row
+    times, values = _awkward_rows(2 * _CSV_CHUNK + 7, 4)
     out = tmp_path / "chunked.csv"
     _write_path_csv(str(out), times, values)
-    assert out.read_text() == "t,value\n" + rows
+    assert out.read_text() == _row_reference(times, values)
+
+
+@pytest.mark.parametrize("n", [_CSV_CHUNK + 5, 2 * _CSV_CHUNK + 7, 3 * _CSV_CHUNK + 2])
+def test_csv_writer_same_bytes_at_every_process_count(tmp_path, monkeypatch, n):
+    # one part below two chunks, else one part per usable CPU up to one per
+    # full chunk; 3 * CHUNK + 2 rows cut into 2 or 3 parts of uneven lengths.
+    # Every count writes the one-row-at-a-time bytes and leaves no other file.
+    times, values = _awkward_rows(n, 4)
+    reference = _row_reference(times, values)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / f"cpus{cpus}.csv"
+        assert _write_path_csv(str(out), times, values) == max(1, min(cpus, n // _CSV_CHUNK))
+        assert out.read_text() == reference, cpus
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.csv", "cpus2.csv", "cpus3.csv"]
+
+
+def _fails_in_a_child(parent_pid, write_rows):
+    def write(fh, times, values):
+        if os.getpid() != parent_pid:
+            raise RuntimeError("part formatter failed")
+        write_rows(fh, times, values)
+
+    return write
+
+
+def test_csv_part_failure_is_an_error_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fbmwalk.cli, "_write_rows", _fails_in_a_child(os.getpid(), fbmwalk.cli._write_rows))
+    times, values = _awkward_rows(2 * _CSV_CHUNK, 5)
+    with pytest.raises(OSError, match="part 2 of 2"):
+        _write_path_csv(str(tmp_path / "direct.csv"), times, values)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    argv = ["generate", "--hurst", 0.7, "--mode", "enriquez", "--steps", 2 * _CSV_CHUNK, "--paths", 2]
+    assert run([*argv, "--out", tmp_path / "cli.csv"]) == 2
+    assert "error: config: formatting CSV part 2 of 2 failed" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # no temporary part file and no sidecar; the truncated outputs are what remains
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cli.csv", "direct.csv"]
 
 
 def _must_not_run(*args, **kwargs):

@@ -14,6 +14,7 @@ from fbmwalk import (
     target_from_uniform,
 )
 from fbmwalk.sampling import CORR_TOL, P_FLOOR, InfeasibleTargetError, _draw_target, solve_p_batch
+from fbmwalk.special import std_normal_quantile
 
 
 def solve_one(target: float, model) -> float:
@@ -154,6 +155,33 @@ def test_scalar_solve_matches_batch(model_07):
     batch = solve_p_batch(targets, model_07)
     for t, pb in zip(targets, batch):
         assert solve_one(float(t), model_07) == pb
+
+
+def test_one_quantile_per_pass(model_07, monkeypatch):
+    # sigma1 and its derivative share one quantile per Newton pass; the three
+    # other calls are sigma_max, sigma1(P_FLOOR) and the final CORR_TOL
+    # check.  The density takes one in all.
+    import fbmwalk.link
+    import fbmwalk.sampling
+
+    calls = []
+
+    def counted(p):
+        calls.append(np.size(p))
+        return std_normal_quantile(p)
+
+    targets = np.linspace(0.01, 0.9 * sigma_max(model_07), 50)
+    expected = solve_p_batch(targets, model_07)
+    for module in (fbmwalk.link, fbmwalk.sampling):
+        monkeypatch.setattr(module, "std_normal_quantile", counted)
+    stats = {}
+    p = solve_p_batch(targets, model_07, stats)
+    assert np.array_equal(p, expected)
+    assert stats["solve_passes"] >= 2
+    assert len(calls) == stats["solve_passes"] + 3
+    calls.clear()
+    density_p(np.linspace(0.01, 0.5, 7), model_07)
+    assert calls == [7]
 
 
 # ---------------------------------------------------------------- draw

@@ -13,7 +13,10 @@ strict JSON (no ``NaN`` or ``Infinity``), it reports 0 failed invocations
 and every metric is a finite number.  The JSON written to ``--out`` holds,
 per side and workload, every run's metrics, failure counts and provenance
 record, the median and quartiles of each metric over the runs that did not
-fail, and the traced runs.
+fail, and the traced runs.  Each end-to-end metric in the current side's
+summary also carries the two numbers a gain is judged by: ``pair_wins``,
+the pairs in which this checkout did better than the parent (a tie or a
+failed run wins for neither), and ``parent_iqr``, the parent's ``q3 - q1``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from run import WORKLOADS  # noqa: E402
 PAIRS = 10  # alternating pairs per workload, the count a claimed gain is judged on
 SEED = 1
 SECONDS = 20  # the benchmark's run length
+# end-to-end metric name -> "lower" or "higher", the direction that is better
+BETTER = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def git(*args: str) -> str:
@@ -90,6 +95,24 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def pair_wins(current: list[dict], parent: list[dict], metric: str) -> int:
+    """Pairs in which the current run is better on ``metric``; ties and failed runs win for neither."""
+    wins = 0
+    for mine, theirs in zip(current, parent):
+        if mine["ok"] and theirs["ok"]:
+            a, b = mine["metrics"][metric], theirs["metrics"][metric]
+            wins += a < b if BETTER[metric] == "lower" else a > b
+    return wins
+
+
+def judge(current: dict, parent: dict) -> None:
+    """Add ``pair_wins`` and ``parent_iqr`` to each end-to-end metric of ``current``'s summary."""
+    for metric, stats in current["summary"].items():
+        if metric in BETTER and metric in parent["summary"]:
+            stats["pair_wins"] = pair_wins(current["runs"], parent["runs"], metric)
+            stats["parent_iqr"] = parent["summary"][metric]["q3"] - parent["summary"][metric]["q1"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
@@ -130,6 +153,11 @@ def main(argv=None) -> int:
             w: {"summary": summary(r), "failed_runs": sum(not x["ok"] for x in r), "runs": r}
             for w, r in runs[side].items()
         }
+    for w in WORKLOADS:
+        judge(doc["current"]["workloads"][w], doc["parent"]["workloads"][w])
+        wall = doc["current"]["workloads"][w]["summary"].get("wall_s", {})
+        print(f"{w:15s} wall_s wins {wall.get('pair_wins')} of {PAIRS}, parent iqr {wall.get('parent_iqr')}",
+              file=sys.stderr)
     doc["current"]["traced"] = traced
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
