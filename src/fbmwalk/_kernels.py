@@ -38,15 +38,6 @@ def group_flips(
     return at[below], np.add.reduceat(below, first, dtype=np.int64)
 
 
-def renewal_flips(sojourns: np.ndarray, n: int, start: int = 0) -> np.ndarray:
-    """Steps in [start, n) at which one walk's bit flips, for sojourns starting at ``start``.
-
-    ``group_flips`` for a group of one, after clipping each sojourn at n: a
-    geometric draw at a vanishing leave probability can be 2^63 - 1.
-    """
-    return group_flips(np.minimum(sojourns, n), np.array([len(sojourns)]), n, np.array([start]))[0]
-
-
 def expand_steps(up: bool, flips, n: int) -> np.ndarray:
     """The +-1 steps of a walk of n steps from its first bit and its flip steps.
 

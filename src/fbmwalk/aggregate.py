@@ -15,8 +15,8 @@ block's walks are drawn in groups of consecutive walks, each group with one
 pass of numpy calls (``_walk_levels``) and one scatter
 (``standardized_levels``).  A group's first round reads at most
 ``_ROUND_BUDGET`` sojourns unless one walk alone needs more, so besides the
-path and its times the arrays held are one group's, bounded by that budget
-or by the longest walk.  The groups run in one thread.
+path the arrays held are one group's, bounded by that budget or by the
+longest walk.  The groups run in one thread.
 """
 
 from __future__ import annotations
@@ -48,33 +48,31 @@ _ROUND_BUDGET = 1 << 14
 
 @dataclass(frozen=True)
 class AggregatedPath:
-    """Approximate fBm sample path at t_k = k/N, k = 0..N."""
+    """Approximate fBm sample path: ``values[k]`` is the level at t_k = k/N, k = 0..N."""
 
     h: float
     n_steps: int
     n_paths: int
-    times: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
 # perfbench/layers.py times the walk's draws and its scatter by wrapping
 # _walk_levels and standardized_levels here, so the two keep their names
-def standardized_levels(d2: np.ndarray, up, flips: np.ndarray, p, counts=None) -> None:
-    """Scatter walks' standardised steps into a second-difference array.
+def standardized_levels(
+    d2: np.ndarray, up: np.ndarray, flips: np.ndarray, p: np.ndarray, counts: np.ndarray
+) -> None:
+    """Scatter a group of walks' standardised steps into a second-difference array.
 
     The standardised step ``(2 bit - 1 - (2p - 1)) w``, with
     ``w = 1/sqrt(4p(1-p))``, is ``2w(1-p)`` while the bit is 1 and ``-2wp``
     while it is 0.  So ``d2[0]`` gains each walk's first step, and each flip
     ``-2w`` (from 1 to 0) or ``+2w`` (from 0 to 1); a walk's flips alternate,
-    starting from its first bit.  ``up`` and ``p`` are one walk's scalars, or
-    a group's arrays with ``counts[j]`` flips of walk j, walk after walk, in
-    ``flips``; either way the flips go in with one weighted scatter.  Two
-    prefix sums of ``d2`` give the summed standardised levels.
+    starting from its first bit.  ``up``, ``p`` and ``counts`` hold one entry
+    per walk, and ``flips`` holds ``counts[j]`` flips of walk j, walk after
+    walk; they go in with one weighted scatter.  Two prefix sums of ``d2``
+    give the summed standardised levels.
     """
-    up = np.atleast_1d(up)
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    counts = np.array([len(flips)]) if counts is None else counts
     w2 = 2.0 / np.sqrt(4.0 * p * (1.0 - p))
     d2[0] += np.dot(w2, up - p)
     # a walk's odd flips go back: flip i of the group has the sign of its
@@ -124,8 +122,8 @@ def _walk_levels(rng: np.random.Generator, n: int, p, keep):
 
     For one walk (scalar p and keep) this returns (first bit, flip steps);
     for a group (arrays) it returns (first bits, flip steps walk after walk,
-    flips per walk), on the same code path.  A walk reads standard
-    exponentials E from the stream, one per sojourn; its sojourns alternate
+    flips per walk, rounds read), on the same code path.  A walk reads
+    standard exponentials E from the stream, one per sojourn; its sojourns alternate
     between its first bit's state and the other.  A sojourn in a state left
     with probability q per step is ``floor(E s) + 1`` with
     ``s = -1/log1p(-q)``: exactly geometric(q), and at least 1 also at E = 0.
@@ -157,7 +155,9 @@ def _walk_levels(rng: np.random.Generator, n: int, p, keep):
     counts = np.zeros(len(p), dtype=np.int64)
     flips = []
     walk, started = 0, False  # the first walk not done, and whether it has its first bit
+    rounds = 0
     while True:
+        rounds += 1
         take = draws[walk:]
         ends = np.cumsum(take)
         state = rng.bit_generator.state
@@ -196,7 +196,7 @@ def _walk_levels(rng: np.random.Generator, n: int, p, keep):
         rng.bit_generator.state = state
         rng.standard_exponential(ends[done - 1])
     flips = flips[0] if len(flips) == 1 else np.concatenate(flips)
-    return (bool(up[0]), flips) if scalar else (up, flips, counts)
+    return (bool(up[0]), flips) if scalar else (up, flips, counts, rounds)
 
 
 # no longer called; kept while perfbench's WRAPPED lists it (ROADMAP item 1)
@@ -262,14 +262,14 @@ def generate_fbm(
     values = np.zeros(n_steps + 1, dtype=np.float64)
     d2 = values[1:]
     draws = _draws_per_round(n_steps, ps, keeps)
-    n_groups = 0
+    rounds = 0
     for b, rng in enumerate(rngs):
         lo = b * _BLOCK
         for start, stop in _groups(draws[lo : lo + _BLOCK].tolist()):
             walks = slice(lo + start, lo + stop)
-            up, flips, flip_counts[walks] = _walk_levels(rng, n_steps, ps[walks], keeps[walks])
+            up, flips, flip_counts[walks], taken = _walk_levels(rng, n_steps, ps[walks], keeps[walks])
             standardized_levels(d2, up, flips, ps[walks], flip_counts[walks])
-            n_groups += 1
+            rounds += taken
     np.cumsum(d2, out=d2)
     np.cumsum(d2, out=d2)
     d2 *= model.a_h
@@ -286,9 +286,7 @@ def generate_fbm(
         "resample_total": 0,
         "flips_total": int(flip_counts.sum()),
         "flips_per_path": _spread(flip_counts),
-        # a group reads one round more than its walks' shortfalls, and each
-        # shortfall round gave its walk exactly one round of flips
-        "sojourn_rounds": n_groups + int(np.sum(flip_counts // draws)),
+        "sojourn_rounds": rounds,
         "p": _spread(ps),
         "keep": _spread(keeps),
         "params_s": t1 - t0,
@@ -303,7 +301,6 @@ def generate_fbm(
         h=model.h,
         n_steps=n_steps,
         n_paths=n_paths,
-        times=np.arange(n_steps + 1, dtype=np.float64) / n_steps,
         values=values,
         meta=meta,
     )

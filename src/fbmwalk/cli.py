@@ -12,6 +12,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 import tempfile
 import time
@@ -47,22 +48,51 @@ def _fail(category: str, message: str, code: int) -> int:
 _CSV_CHUNK = 1 << 16  # rows formatted and written at a time
 
 
-def _write_rows(fh, times: np.ndarray, values: np.ndarray) -> None:
-    # t at 12 significant digits, values as shortest round-trip decimals (%r
-    # is repr); one %-format per chunk of rows, so memory stays bounded as N grows
+@contextlib.contextmanager
+def _replacing(out: str, mode: str):
+    """Yield a new file beside ``out``, opened in ``mode``; it replaces ``out`` when the block succeeds.
+
+    On any error the file is removed instead, so an existing ``out`` keeps
+    its bytes and a missing one stays missing.  The moved file has the mode
+    ``open(out, "w")`` gives: an existing file's own, else 0o666 less the umask.
+    """
+    here, name = os.path.split(os.path.abspath(out))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=here)
+    try:
+        with open(fd, mode) as fh:
+            yield fh
+        try:
+            perms = stat.S_IMODE(os.stat(out).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            perms = 0o666 & ~umask
+        os.chmod(tmp, perms)
+        os.replace(tmp, out)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _write_rows(fh, values: np.ndarray, steps: int, first: int) -> None:
+    # rows first, first + 1, ... of the path: row k's t is k / steps at 12
+    # significant digits, its value the shortest round-trip decimal (%r is
+    # repr); one %-format per chunk of rows, so memory stays bounded as N grows
     for i in range(0, len(values), _CSV_CHUNK):
-        rows = np.column_stack((times[i : i + _CSV_CHUNK], values[i : i + _CSV_CHUNK])).ravel().tolist()
-        fh.write(("%.12g,%r\n" * (len(rows) // 2) % tuple(rows)).encode())
+        chunk = values[i : i + _CSV_CHUNK]
+        times = np.arange(first + i, first + i + len(chunk), dtype=np.float64) / steps
+        rows = np.column_stack((times, chunk)).ravel().tolist()
+        fh.write(("%.12g,%r\n" * len(chunk) % tuple(rows)).encode())
 
 
-def _write_part(part, times: np.ndarray, values: np.ndarray) -> NoReturn:
+def _write_part(part, values: np.ndarray, steps: int, first: int) -> NoReturn:
     """Format rows into ``part`` in a forked child, which leaves only by ``os._exit``.
 
     So the child runs no atexit handler and flushes no buffer it inherited.
     """
     code = 1
     try:
-        _write_rows(part, times, values)
+        _write_rows(part, values, steps, first)
         part.flush()
         code = 0
     except BaseException:
@@ -71,19 +101,19 @@ def _write_part(part, times: np.ndarray, values: np.ndarray) -> NoReturn:
         os._exit(code)
 
 
-def _write_path_csv(out: str, times: np.ndarray, values: np.ndarray) -> int:
-    """Write the path as CSV; return the number of processes that formatted it.
+def _write_path_csv(out: str, values: np.ndarray, steps: int) -> int:
+    """Write the path as CSV, row k at t = k / steps; return the processes that formatted it.
 
     Formatting, not writing, is the cost, and rows are independent: the rows
     are cut into k contiguous parts, k the usable CPUs but at most one part
     per full chunk.  Parts 2..k are formatted by forked children into
     anonymous temporary files beside ``out`` and appended in order, so the
-    bytes are the same at every k.
+    bytes are the same at every k.  ``out`` appears only once it is whole.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(values) // _CSV_CHUNK))
     cuts = [len(values) * j // k for j in range(k + 1)]
-    with open(out, "wb") as fh, contextlib.ExitStack() as parts:
+    with _replacing(out, "wb") as fh, contextlib.ExitStack() as parts:
         fh.write(b"t,value\n")
         children = []  # (pid, part file)
         try:
@@ -91,9 +121,9 @@ def _write_path_csv(out: str, times: np.ndarray, values: np.ndarray) -> int:
                 part = parts.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(out))))
                 pid = os.fork()
                 if pid == 0:
-                    _write_part(part, times[a:b], values[a:b])
+                    _write_part(part, values[a:b], steps, a)
                 children.append((pid, part))
-            _write_rows(fh, times[: cuts[1]], values[: cuts[1]])
+            _write_rows(fh, values[: cuts[1]], steps, 0)
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
         for j, code in enumerate(codes, start=2):
@@ -105,9 +135,9 @@ def _write_path_csv(out: str, times: np.ndarray, values: np.ndarray) -> int:
     return k
 
 
-def _write_path_json(out: str, times: np.ndarray, values: np.ndarray) -> None:
-    doc = {"t": [f"{t:.12g}" for t in times], "value": [float(v) for v in values]}
-    with open(out, "w") as fh:
+def _write_path_json(out: str, values: np.ndarray, steps: int) -> None:
+    doc = {"t": [f"{k / steps:.12g}" for k in range(len(values))], "value": [float(v) for v in values]}
+    with _replacing(out, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
@@ -171,16 +201,19 @@ def _parse_path_lines(path: str) -> np.ndarray:
 
 
 def _check_writable(path: str) -> None:
-    """Raise OSError now, before any work, if ``path`` cannot be opened for writing.
+    """Raise OSError now, before any work, if ``path`` cannot be written.
 
     Opening to append truncates no existing file, and a file the check
-    created is removed again.
+    created is removed again.  The output is written beside ``path`` under
+    a temporary name and moved onto it, so an anonymous temporary file
+    checks that the directory takes new files.
     """
     existed = os.path.lexists(path)
     with open(path, "a"):
         pass
     if not existed:
         os.remove(path)
+    tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -192,7 +225,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.mode == "gaussian-oracle":
         values = cholesky_fbm(model, args.steps, args.seed)
-        times = np.arange(args.steps + 1, dtype=np.float64) / args.steps
         meta = {
             "mode": args.mode,
             "seed": args.seed,
@@ -209,10 +241,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
         values = path.values
-        times = path.times
         meta = dict(path.meta, paths=args.paths)
-    if args.raw_levels:
-        times = np.arange(len(values), dtype=np.float64)
     meta.update(
         {
             "command": "generate",
@@ -224,14 +253,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "wall_time_s": time.perf_counter() - t0,
         }
     )
+    # row k is at t = k / N, or at its index k under --raw-levels
+    steps = 1 if args.raw_levels else args.steps
     t_write = time.perf_counter()
     if args.format == "csv":
-        meta["write_processes"] = _write_path_csv(args.out, times, values)
+        meta["write_processes"] = _write_path_csv(args.out, values, steps)
     else:
-        _write_path_json(args.out, times, values)
+        _write_path_json(args.out, values, steps)
         meta["write_processes"] = 1
     meta["write_s"] = time.perf_counter() - t_write
-    with open(args.out + ".meta.json", "w") as fh:
+    with _replacing(args.out + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.out} ({len(values)} points)")
@@ -299,7 +330,7 @@ def cmd_spread(args: argparse.Namespace) -> int:
     )
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _replacing(args.out, "w") as fh:
             fh.write(text)
             fh.write("\n")
         print(f"wrote {args.out}")

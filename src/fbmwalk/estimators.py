@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class EstimateReport:
     h_aggvar: float
     acf: np.ndarray
     n_used: int
-    notes: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -114,11 +113,10 @@ class EstimateReport:
             "h_aggvar": self.h_aggvar,
             "acf": [float(a) for a in self.acf],
             "n_used": self.n_used,
-            "notes": dict(self.notes),
         }
 
 
-def estimate_report(path: np.ndarray, max_lag: int = 10, notes: dict | None = None) -> EstimateReport:
+def estimate_report(path: np.ndarray, max_lag: int = 10) -> EstimateReport:
     """Run both estimators plus the increment ACF on one path."""
     path = np.asarray(path, dtype=np.float64)
     return EstimateReport(
@@ -126,5 +124,4 @@ def estimate_report(path: np.ndarray, max_lag: int = 10, notes: dict | None = No
         h_aggvar=aggregated_variance_hurst(path),
         acf=empirical_acf(np.diff(path), max_lag),
         n_used=int(path.shape[0]),
-        notes=notes or {},
     )

@@ -75,15 +75,15 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel, stats: dict | None = N
     The lag-1 correlation is strictly increasing on the branch.  Each pass
     takes a Newton step on ``log sigma1 = log target`` in x = log p, with the
     exact derivative ``d sigma1 / dx = (e' - sigma1 (1-2p)) / (1-p)``,
-    ``e' = 2 (Phi(z sqrt((1-delta1)/(1+delta1))) - p)`` (see ``density_p``),
-    and keeps a bracket [lo, hi] in x from the sign of the residual.  A step
-    that leaves the bracket is replaced by its midpoint; a step onto a bracket
-    end is kept, as a converged iterate lands there.  Each pass evaluates
-    only the targets not yet done, for at most 64 passes, and takes the
-    normal quantile of its p once for both sigma1 and the derivative.  Targets at or
-    below sigma1(P_FLOOR) collapse to the floor (the walk degenerates toward
-    a constant-sign path there), sigma_max gives p = 1/2, and targets above
-    sigma_max raise.  Every p is then checked against CORR_TOL.  ``stats``,
+    ``e' = 2 (Phi(z sqrt((1-delta1)/(1+delta1))) - p)`` (see ``density_p``;
+    both come from ``_sigma1_slope``), and keeps a bracket [lo, hi] in x from
+    the sign of the residual.  A step that leaves the bracket is replaced by
+    its midpoint; a step onto a bracket end is kept, as a converged iterate
+    lands there.  Each pass evaluates only the targets not yet done, for at
+    most 64 passes, and takes the normal quantile of its p once for both
+    sigma1 and the derivative.  Targets at or below sigma1(P_FLOOR) collapse
+    to the floor (the walk degenerates toward a constant-sign path there),
+    sigma_max gives p = 1/2, and targets above sigma_max raise.  Every p is then checked against CORR_TOL.  ``stats``,
     if given, receives the number of passes, ``solve_passes``.
     """
     targets = np.asarray(targets, dtype=np.float64)
@@ -99,20 +99,17 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel, stats: dict | None = N
     x = np.full_like(targets, _NEWTON_START)
     lo = np.full_like(targets, math.log(P_FLOOR))
     hi = np.full_like(targets, math.log(0.5))
-    shrink = math.sqrt((1.0 - model.delta1) / (1.0 + model.delta1))
     active = np.flatnonzero(~at_floor & (targets < s_max))
     passes = 0
     while active.size and passes < _NEWTON_PASSES:
         passes += 1
         xa, t = x[active], targets[active]
         p = np.exp(xa)
-        z = std_normal_quantile(p)  # one quantile per pass, for sigma1 and its derivative
-        s1 = phi_from_tetrachoric(p, model.delta1, z)
+        s1, slope = _sigma1_slope(p, model)
         below = s1 <= t
         lo[active] = np.where(below, xa, lo[active])
         hi[active] = np.where(below, hi[active], xa)
-        de = 2.0 * (std_normal_cdf(z * shrink) - p)
-        step = np.log(s1 / t) * s1 * (1.0 - p) / (de - s1 * (1.0 - 2.0 * p))
+        step = np.log(s1 / t) * s1 * (1.0 - p) / slope
         xn = xa - step
         la, ha = lo[active], hi[active]
         xn = np.where((xn >= la) & (xn <= ha), xn, 0.5 * (la + ha))
@@ -135,6 +132,14 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel, stats: dict | None = N
             f"target={targets[i]!r} achieved={achieved[i]!r} at p={p[i]!r}"
         )
     return p
+
+
+def _sigma1_slope(p: np.ndarray, model: HurstModel) -> tuple[np.ndarray, np.ndarray]:
+    """sigma1(p) and ``e' - sigma1 (1-2p)``, its derivative's numerator (see ``density_p``)."""
+    z = std_normal_quantile(p)
+    s1 = phi_from_tetrachoric(p, model.delta1, z)
+    de = 2.0 * (std_normal_cdf(z * math.sqrt((1.0 - model.delta1) / (1.0 + model.delta1))) - p)
+    return s1, de - s1 * (1.0 - 2.0 * p)
 
 
 def _draw_target(u: np.ndarray, model: HurstModel) -> np.ndarray:
@@ -167,10 +172,7 @@ def density_p(p, model: HurstModel):
     p = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if np.any((p < P_FLOOR) | (p > 1.0 - P_FLOOR)):
         raise ValueError(f"p must lie in [{P_FLOOR}, 1 - {P_FLOOR}]")
-    d = model.delta1
-    z = std_normal_quantile(p)
-    s1 = phi_from_tetrachoric(p, d, z)
-    de = 2.0 * (std_normal_cdf(z * math.sqrt((1.0 - d) / (1.0 + d))) - p)
-    ds1 = (de - s1 * (1.0 - 2.0 * p)) / (p * (1.0 - p))
+    s1, slope = _sigma1_slope(p, model)
+    ds1 = slope / (p * (1.0 - p))
     out = (2.0 - 2.0 * model.h) * (1.0 - s1) ** (1.0 - 2.0 * model.h) * ds1
     return float(out[0]) if scalar else out

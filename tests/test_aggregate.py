@@ -26,7 +26,7 @@ def test_accumulate_identity_and_linearity(model_07):
     karr = np.arange(1, 9, dtype=np.float64)
     # all-up walk at p=1/2: the standardized step is 1, so the level at step k is exactly k
     d2 = np.zeros(8)
-    standardized_levels(d2, True, np.empty(0, dtype=np.int64), 0.5)
+    standardized_levels(d2, np.array([True]), np.empty(0, dtype=np.int64), np.array([0.5]), np.array([0]))
     up = np.cumsum(np.cumsum(d2))
     assert np.array_equal(up, karr)
     assert np.array_equal(_pairwise_sum([up]), up)  # a single trajectory is the identity
@@ -51,9 +51,7 @@ def test_finalize_single_step_constant():
 def test_generated_path_shape_and_zero_start(model_07):
     path = generate_fbm(model_07, 64, 5, seed=1)
     assert path.values.shape == (65,)
-    assert path.times.shape == (65,)
     assert path.values[0] == 0.0
-    assert path.times[0] == 0.0 and path.times[-1] == 1.0
 
 
 def test_same_seed_same_bytes(model_07):
@@ -144,7 +142,7 @@ def test_event_aggregate_matches_dense_expansion(h, n, m, seed, mode):
 
 @pytest.mark.parametrize("m", [1024, 4096])
 def test_memory_does_not_grow_with_blocks(m):
-    # every walk adds into the returned path, so 16 or 64 blocks hold the path and its times only
+    # every walk adds into the returned path, so 16 or 64 blocks hold the path and one group's arrays
     n = 1 << 16
     generate_fbm(HurstModel(0.7), 2, 1)  # a first call imports numpy submodules, about 1.8 MB once
     tracemalloc.start()

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,30 @@ def test_judge_adds_wins_and_parent_spread(bench_record):
     bench_record.judge(current, parent)
     assert current["summary"]["wall_s"]["pair_wins"] == 4
     assert current["summary"]["wall_s"]["parent_iqr"] == pytest.approx(4.25 - 2.75)
+
+
+def test_current_side_is_a_snapshot_of_the_checkout(bench_record, tmp_path, monkeypatch):
+    # the snapshot holds tracked changes and staged new files, not unstaged
+    # ones, and leaves the checkout as it was; a clean checkout is HEAD
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                              capture_output=True, text=True, check=True).stdout
+
+    git("init", "-q")
+    (repo / "tracked").write_text("old\n")
+    git("add", "tracked")
+    git("commit", "-qm", "first")
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    assert bench_record.snapshot() == git("rev-parse", "HEAD").strip()
+    (repo / "tracked").write_text("new\n")
+    (repo / "staged").write_text("staged\n")
+    git("add", "staged")
+    (repo / "unstaged").write_text("unstaged\n")
+    status = git("status", "--porcelain")
+    tree = bench_record.export(bench_record.snapshot(), tmp_path / "tree")
+    assert sorted(p.name for p in tree.iterdir()) == ["staged", "tracked"]
+    assert (tree / "tracked").read_text() == "new\n"
+    assert git("status", "--porcelain") == status

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -138,26 +139,26 @@ def test_generate_raw_levels_flag(tmp_path):
     assert first_rows == ["0", "1", "2", "3"]
 
 
-def _row_reference(times, values) -> str:
+def _row_reference(values, steps) -> str:
     """The file as one f-string per row writes it."""
-    return "t,value\n" + "".join(f"{t:.12g},{float(v)!r}\n" for t, v in zip(times, values))
+    return "t,value\n" + "".join(f"{k / steps:.12g},{float(v)!r}\n" for k, v in enumerate(values))
 
 
 def _awkward_rows(n: int, seed: int):
     """n rows of values over the whole double range, with -0.0, the least
-    subnormal and 17-digit values at the chunk edges."""
+    subnormal and 17-digit values at the chunk edges, and their steps n - 1."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     values[[0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, n - 1]] = [-0.0, 5e-324, 1e16, -1e16, 0.1]
-    return np.arange(n, dtype=np.float64) / (n - 1), values
+    return values, n - 1
 
 
 def test_chunked_csv_writer_matches_row_format(tmp_path):
     # the rows the writer made before it wrote in chunks, one f-string per row
-    times, values = _awkward_rows(2 * _CSV_CHUNK + 7, 4)
+    values, steps = _awkward_rows(2 * _CSV_CHUNK + 7, 4)
     out = tmp_path / "chunked.csv"
-    _write_path_csv(str(out), times, values)
-    assert out.read_text() == _row_reference(times, values)
+    _write_path_csv(str(out), values, steps)
+    assert out.read_text() == _row_reference(values, steps)
 
 
 @pytest.mark.parametrize("n", [_CSV_CHUNK + 5, 2 * _CSV_CHUNK + 7, 3 * _CSV_CHUNK + 2])
@@ -165,21 +166,21 @@ def test_csv_writer_same_bytes_at_every_process_count(tmp_path, monkeypatch, n):
     # one part below two chunks, else one part per usable CPU up to one per
     # full chunk; 3 * CHUNK + 2 rows cut into 2 or 3 parts of uneven lengths.
     # Every count writes the one-row-at-a-time bytes and leaves no other file.
-    times, values = _awkward_rows(n, 4)
-    reference = _row_reference(times, values)
+    values, steps = _awkward_rows(n, 4)
+    reference = _row_reference(values, steps)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / f"cpus{cpus}.csv"
-        assert _write_path_csv(str(out), times, values) == max(1, min(cpus, n // _CSV_CHUNK))
+        assert _write_path_csv(str(out), values, steps) == max(1, min(cpus, n // _CSV_CHUNK))
         assert out.read_text() == reference, cpus
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.csv", "cpus2.csv", "cpus3.csv"]
 
 
 def _fails_in_a_child(parent_pid, write_rows):
-    def write(fh, times, values):
+    def write(fh, *args):
         if os.getpid() != parent_pid:
             raise RuntimeError("part formatter failed")
-        write_rows(fh, times, values)
+        write_rows(fh, *args)
 
     return write
 
@@ -187,9 +188,9 @@ def _fails_in_a_child(parent_pid, write_rows):
 def test_csv_part_failure_is_an_error_and_leaves_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(fbmwalk.cli, "_write_rows", _fails_in_a_child(os.getpid(), fbmwalk.cli._write_rows))
-    times, values = _awkward_rows(2 * _CSV_CHUNK, 5)
+    values, steps = _awkward_rows(2 * _CSV_CHUNK, 5)
     with pytest.raises(OSError, match="part 2 of 2"):
-        _write_path_csv(str(tmp_path / "direct.csv"), times, values)
+        _write_path_csv(str(tmp_path / "direct.csv"), values, steps)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     argv = ["generate", "--hurst", 0.7, "--mode", "enriquez", "--steps", 2 * _CSV_CHUNK, "--paths", 2]
@@ -197,8 +198,40 @@ def test_csv_part_failure_is_an_error_and_leaves_nothing(tmp_path, monkeypatch, 
     assert "error: config: formatting CSV part 2 of 2 failed" in capsys.readouterr().err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    # no temporary part file and no sidecar; the truncated outputs are what remains
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cli.csv", "direct.csv"]
+    # no temporary file, no partial output and no sidecar
+    assert list(tmp_path.iterdir()) == []
+    # an output that was there before keeps its bytes and its mode
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    kept.chmod(0o604)
+    assert run([*argv, "--out", kept]) == 2
+    assert kept.read_text() == "kept\n"
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    # a new output has 0o666 less the umask, an existing one keeps its mode;
+    # written under a temporary name, none of them has mkstemp's 0o600
+    umask = os.umask(0o022)
+    try:
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"p.{fmt}"
+            argv = ["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--format", fmt, "--out", out]
+            assert run(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644, fmt
+            assert stat.S_IMODE((tmp_path / f"p.{fmt}.meta.json").stat().st_mode) == 0o644, fmt
+            out.chmod(0o664)
+            assert run(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o664, fmt
+        out = tmp_path / "spread.json"
+        assert run(["spread", "--hurst", 0.7, "--steps", 256, "--paths", 4, "--replicates", 2, "--out", out]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    finally:
+        os.umask(umask)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "p.csv", "p.csv.meta.json", "p.json", "p.json.meta.json", "spread.json"
+    ]
 
 
 def _must_not_run(*args, **kwargs):

@@ -150,9 +150,8 @@ def test_acf_zero_variance():
 
 def test_estimate_report_roundtrip():
     path = _oracle_paths(0.7, 1024, [2])[0]
-    rep = estimate_report(path, max_lag=10, notes={"src": "oracle"})
+    rep = estimate_report(path, max_lag=10)
     d = rep.as_dict()
     assert d["n_used"] == 1025
     assert len(d["acf"]) == 10
-    assert d["notes"] == {"src": "oracle"}
     assert -1.0 <= min(d["acf"]) and max(d["acf"]) <= 1.0

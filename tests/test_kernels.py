@@ -16,6 +16,14 @@ from fbmwalk.aggregate import _draws_per_round, _walk_levels
 INT64_MAX = np.iinfo(np.int64).max
 
 
+def one_walk_flips(sojourns, n, start=0):
+    """``group_flips`` for one walk, its sojourns clipped at n + 1 as ``_walk_levels`` clips them.
+
+    A geometric draw at a vanishing leave probability can be 2^63 - 1.
+    """
+    return kernels.group_flips(np.minimum(sojourns, n + 1), np.array([len(sojourns)]), n, np.array([start]))[0]
+
+
 def scalar_expansion(up, sojourns, n, start=0):
     """The +-1 steps from ``start`` to n: each sojourn repeats a sign, then it flips."""
     sign = 1 if up else -1
@@ -57,7 +65,7 @@ def _check_against_scalar(rng, draw_p_keep):
         q = np.where(leave > 0.0, leave, 1.0)
         sojourns = rng.geometric(np.tile(q, n))
         sojourns[np.tile(leave == 0.0, n)] = INT64_MAX
-        flips = kernels.renewal_flips(sojourns, n, start)
+        flips = one_walk_flips(sojourns, n, start)
         assert np.all(np.diff(flips) > 0) and np.all((flips > start) & (flips < n))
         assert np.array_equal(expand_steps(True, flips - start, n - start), scalar_expansion(True, sojourns, n, start))
 
@@ -92,9 +100,9 @@ def test_huge_sojourns_do_not_wrap():
     # clipped sojourns stays below 2^63 and the walk ends at the first of them
     n = 50
     sojourns = np.array([3, INT64_MAX, INT64_MAX, 4], dtype=np.int64)
-    assert kernels.renewal_flips(sojourns, n).tolist() == [3]
-    assert kernels.renewal_flips(sojourns, n, 10).tolist() == [13]
-    assert kernels.renewal_flips(np.full(3, INT64_MAX), n).size == 0
+    assert one_walk_flips(sojourns, n).tolist() == [3]
+    assert one_walk_flips(sojourns, n, 10).tolist() == [13]
+    assert one_walk_flips(np.full(3, INT64_MAX), n).size == 0
 
 
 def test_walk_edge_parameters_match_scalar_expansion():
@@ -149,7 +157,7 @@ def test_sojourns_are_geometric(q):
     rng = np.random.default_rng(17)
     lengths = []
     for _ in range(10):
-        up, flips, counts = _walk_levels(rng, n, np.full(200, p), np.full(200, keep))
+        up, flips, counts, _ = _walk_levels(rng, n, np.full(200, p), np.full(200, keep))
         assert np.all(counts >= 10)
         first = np.cumsum(counts) - counts
         ends = flips[first[:, None] + np.arange(10)]
@@ -169,8 +177,8 @@ def test_keep_one_never_flips():
     rng = np.random.default_rng(11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        up, flips, counts = _walk_levels(rng, 1000, np.array([0.3, 0.5, 0.9]), np.ones(3))
-    assert flips.size == 0 and np.all(counts == 0)
+        up, flips, counts, rounds = _walk_levels(rng, 1000, np.array([0.3, 0.5, 0.9]), np.ones(3))
+    assert flips.size == 0 and np.all(counts == 0) and rounds == 1
 
 
 def _zero_exponentials():
@@ -185,7 +193,7 @@ def test_zero_exponential_makes_unit_sojourns():
     # E = 0 gives the shortest sojourn, 1 step, never 0: every step flips and
     # the flips stay strictly increasing; at keep = 1 it is still no flip
     n = 300
-    up, flips, counts = _walk_levels(_zero_exponentials(), n, np.array([0.2, 0.5, 0.5]), np.array([0.5, 0.9, 1.0]))
+    up, flips, counts, _ = _walk_levels(_zero_exponentials(), n, np.array([0.2, 0.5, 0.5]), np.array([0.5, 0.9, 1.0]))
     assert np.all(up)
     assert counts.tolist() == [n - 1, n - 1, 0]
     assert np.array_equal(flips, np.tile(np.arange(1, n), 2))
@@ -200,13 +208,16 @@ def test_mixed_group_reads_the_stream_as_its_walks_alone():
     n = 3000
     kinds = np.array([(0.05, 0.0), (0.3, 0.9), (0.5, 1.0), (0.4, 0.6)])
     p, keep = np.tile(kinds, (100, 1)).T
-    up, flips, counts = _walk_levels(np.random.default_rng(7), n, p, keep)
+    up, flips, counts, rounds = _walk_levels(np.random.default_rng(7), n, p, keep)
     rng = np.random.default_rng(7)
     alone = [_walk_levels(rng, n, float(pi), float(ki)) for pi, ki in zip(p, keep)]
     assert up.tolist() == [u for u, _ in alone]
     assert np.array_equal(flips, np.concatenate([f for _, f in alone]))
     assert counts.tolist() == [len(f) for _, f in alone]
-    assert np.any(counts >= _draws_per_round(n, p, keep))
+    draws = _draws_per_round(n, p, keep)
+    assert np.any(counts >= draws)
+    # one round, and one more per round that a walk used up without reaching n
+    assert rounds == 1 + int(np.sum(counts // draws))
     for j, (pj, kj) in enumerate(kinds):
         c = counts[j::4]
         expected = (n - 1) * 2.0 * (1.0 - kj) * pj * (1.0 - pj)

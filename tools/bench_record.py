@@ -5,10 +5,14 @@
 Runs ``perfbench/run.py --trace 0 --seed 1 --seconds 20`` on each workload of
 ``perfbench/run.py``, once per pair on this checkout and once on the parent
 commit, for 10 pairs, alternating which side runs first, then one
-``--trace 1`` run per workload on this checkout.  The parent runs from a
-scratch copy of that commit (``git archive`` into a temporary directory,
-removed afterwards), so both sides run their own benchmark code with the
-same settings.  A run fails unless it exits 0, its last line parses as
+``--trace 1`` run per workload on this checkout.  Both sides run the same
+way: each from a ``git archive`` export of a commit into a temporary
+directory, removed afterwards, so both run their own benchmark code with
+the same settings from the same kind of tree.  This checkout's commit is a
+snapshot of its tracked files as they are on disk (``git stash create``,
+which leaves the checkout as it is), or HEAD when they have no changes.
+New files are in the snapshot only once staged (``git add``); unstaged new
+files are left out.  A run fails unless it exits 0, its last line parses as
 strict JSON (no ``NaN`` or ``Infinity``), it reports 0 failed invocations
 and every metric is a finite number.  The JSON written to ``--out`` holds,
 per side and workload, every run's metrics, failure counts and provenance
@@ -48,14 +52,21 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
 
-def export(ref: str, into: Path) -> None:
-    """The tree of ``ref`` under ``into``, with no git metadata."""
-    archive = into / "tree.tar"
+def snapshot() -> str:
+    """A commit of the checkout's tracked and staged files as on disk; HEAD when they have no changes."""
+    return git("stash", "create").strip() or git("rev-parse", "HEAD").strip()
+
+
+def export(ref: str, into: Path) -> Path:
+    """The tree of ``ref`` in a new directory ``into``, with no git metadata."""
+    into.mkdir()
+    archive = into.with_suffix(".tar")
     with open(archive, "wb") as fh:
         subprocess.run(["git", "archive", ref], cwd=ROOT, stdout=fh, check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(into / "tree", filter="data")
+        tar.extractall(into, filter="data")
     archive.unlink()
+    return into
 
 
 def _reject_constant(name: str):
@@ -119,10 +130,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD~1", help="git ref of the commit to compare with")
     args = parser.parse_args(argv)
 
+    current = snapshot()
     scratch = Path(tempfile.mkdtemp(prefix="bench_record_"))
     try:
-        export(args.parent, scratch)
-        trees = {"current": ROOT, "parent": scratch / "tree"}
+        trees = {"current": export(current, scratch / "current"), "parent": export(args.parent, scratch / "parent")}
         runs = {side: {w: [] for w in WORKLOADS} for side in trees}
         for pair in range(PAIRS):
             for workload in WORKLOADS:
@@ -134,7 +145,7 @@ def main(argv=None) -> int:
                     print(f"pair {pair} {workload:15s} {side:8s} ok {run['ok']} wall_s {shown}", file=sys.stderr)
         traced = {}
         for workload in WORKLOADS:
-            traced[workload] = bench(ROOT, workload, trace=1)
+            traced[workload] = bench(trees["current"], workload, trace=1)
             print(f"traced  {workload:15s} current  ok {traced[workload]['ok']}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -144,7 +155,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "seconds": SECONDS,
         "pairs": PAIRS,
-        "current": {"git_sha": git("rev-parse", "HEAD").strip(),
+        "current": {"git_sha": git("rev-parse", "HEAD").strip(), "snapshot_sha": current,
                     "worktree_clean": not git("status", "--porcelain", "--untracked-files=no").strip()},
         "parent": {"ref": args.parent, "git_sha": git("rev-parse", args.parent).strip()},
     }
