@@ -53,10 +53,12 @@ def _replacing(out: str, mode: str):
     """Yield a new file beside ``out``, opened in ``mode``; it replaces ``out`` when the block succeeds.
 
     On any error the file is removed instead, so an existing ``out`` keeps
-    its bytes and a missing one stays missing.  The moved file has the mode
-    ``open(out, "w")`` gives: an existing file's own, else 0o666 less the umask.
+    its bytes and a missing one stays missing.  As with ``open(out, "w")``, a
+    symbolic link is written through, and the moved file has the mode an
+    existing file had, else 0o666 less the umask.
     """
-    here, name = os.path.split(os.path.abspath(out))
+    out = os.path.realpath(out)
+    here, name = os.path.split(out)
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=here)
     try:
         with open(fd, mode) as fh:
@@ -204,16 +206,16 @@ def _check_writable(path: str) -> None:
     """Raise OSError now, before any work, if ``path`` cannot be written.
 
     Opening to append truncates no existing file, and a file the check
-    created is removed again.  The output is written beside ``path`` under
-    a temporary name and moved onto it, so an anonymous temporary file
-    checks that the directory takes new files.
+    created is removed again.  The output is written beside the file
+    ``path`` names under a temporary name and moved onto it, so an anonymous
+    temporary file checks that that directory takes new files.
     """
     existed = os.path.lexists(path)
     with open(path, "a"):
         pass
     if not existed:
         os.remove(path)
-    tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+    tempfile.TemporaryFile(dir=os.path.dirname(os.path.realpath(path))).close()
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -234,6 +234,17 @@ def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
     ]
 
 
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    # as a plain open(out, "w") would: the link stays, the file it names gets the rows
+    target = tmp_path / "data" / "p.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run(["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--out", link]) == 0
+    assert link.is_symlink() and target.read_text().startswith("t,value\n0,0.0\n")
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the work ran before the output path was checked")
 
