@@ -109,18 +109,20 @@ def _write_path_csv(out: str, values: np.ndarray, steps: int) -> int:
     Formatting, not writing, is the cost, and rows are independent: the rows
     are cut into k contiguous parts, k the usable CPUs but at most one part
     per full chunk.  Parts 2..k are formatted by forked children into
-    anonymous temporary files beside ``out`` and appended in order, so the
+    anonymous temporary files beside the file ``out`` names (through a
+    symbolic link, beside its target) and appended in order, so the
     bytes are the same at every k.  ``out`` appears only once it is whole.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(values) // _CSV_CHUNK))
     cuts = [len(values) * j // k for j in range(k + 1)]
+    here = os.path.dirname(os.path.realpath(out))  # where _replacing writes
     with _replacing(out, "wb") as fh, contextlib.ExitStack() as parts:
         fh.write(b"t,value\n")
         children = []  # (pid, part file)
         try:
             for a, b in zip(cuts[1:-1], cuts[2:]):
-                part = parts.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(out))))
+                part = parts.enter_context(tempfile.TemporaryFile(dir=here))
                 pid = os.fork()
                 if pid == 0:
                     _write_part(part, values[a:b], steps, a)
@@ -273,6 +275,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     values = _read_path_csv(args.input)
+    # a sidecar that records the steps must agree with the rows; without one the file reads alone
+    with contextlib.suppress(FileNotFoundError), open(args.input + ".meta.json") as fh:
+        meta = json.load(fh)
+        steps = meta.get("steps") if isinstance(meta, dict) else None
+        if type(steps) is int and len(values) != steps + 1:
+            raise ValueError(f"{args.input}: {len(values)} rows, but its sidecar records {steps} steps")
     report = estimate_report(values, max_lag=args.lags)
     doc = report.as_dict()
     doc["input"] = args.input

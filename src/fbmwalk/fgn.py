@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .special import float_or_array
+
 __all__ = [
     "HurstModel",
     "fbm_covariance",
@@ -32,25 +34,23 @@ def fbm_covariance(s: float, t: float, h: float) -> float:
     return 0.5 * (t**e + s**e - abs(t - s) ** e)
 
 
+@float_or_array
 def fgn_autocovariance(m, h: float):
     """Autocovariance of unit-variance fGn at integer lag(s) m >= 0.
 
-    ``k^2H (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))) / 2``, free of the
-    cancellation in the difference of three powers (off by ~1e-4 near k = 1e6,
-    H = 0.989); 1 at lag 0.  A scalar lag gives a float, an array an array.
+    ``m^2H (expm1(2H log1p(1/m)) + expm1(2H log1p(-1/m))) / 2``, free of the
+    cancellation in the difference of three powers (off by ~1e-4 near m = 1e6,
+    H = 0.989); 1 at lag 0.
     """
-    scalar = np.ndim(m) == 0
-    k = np.asarray(m, dtype=np.float64)
-    if np.any(k < 0):
+    if np.any(m < 0):
         raise ValueError("lag must be nonnegative")
     if not 0.0 < h <= 1.0:
         raise ValueError(f"Hurst exponent must be in (0, 1], got {h}")
     e = 2.0 * h
     # lag 0 divides by zero and lag 1 takes log1p(-1) = -inf, whose expm1 is -1
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = 0.5 * k**e * (np.expm1(e * np.log1p(1.0 / k)) + np.expm1(e * np.log1p(-1.0 / k)))
-    out = np.where(k == 0, 1.0, out)
-    return float(out) if scalar else out
+        out = 0.5 * m**e * (np.expm1(e * np.log1p(1.0 / m)) + np.expm1(e * np.log1p(-1.0 / m)))
+    return np.where(m == 0, 1.0, out)
 
 
 def one_step_fgn_correlation(h: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fgn import HurstModel
-from .special import bvn_cdf_excess_diag, std_normal_quantile
+from .special import bvn_cdf_excess_diag, float_or_array, std_normal_quantile
 
 __all__ = [
     "phi_from_tetrachoric",
@@ -23,42 +23,35 @@ __all__ = [
 ]
 
 
-def _phi2_excess(p, delta: float, z=None):
-    """Phi2(z(p), z(p), delta) - p^2, scalar or vectorised over p.
+def _phi2_excess(p: np.ndarray, delta: float, z=None) -> np.ndarray:
+    """Phi2(z(p), z(p), delta) - p^2 over an array of p.
 
-    Scalars run through the same vector code path so that batch and one-off
-    evaluations agree bit for bit (the walk's sojourn laws are drawn at these
-    values, where a one-ulp difference would change the draws).  ``z``, if
-    given, is ``std_normal_quantile(p)`` already computed by the caller; the
-    result is the same bits.  Raises ValueError unless -1 < delta < 1 and
-    every p lies in (0, 1).
+    ``z``, if given, is ``std_normal_quantile(p)`` already computed by the
+    caller; the result is the same bits.  Raises ValueError unless
+    -1 < delta < 1 and every p lies in (0, 1).
     """
     if not -1.0 < delta < 1.0:
         raise ValueError(f"tetrachoric correlation must satisfy |delta| < 1, got {delta}")
-    scalar = np.ndim(p) == 0
     if z is None:
-        z = std_normal_quantile(np.atleast_1d(p))
-    out = bvn_cdf_excess_diag(np.atleast_1d(z), delta)
-    return float(out[0]) if scalar else out
+        z = std_normal_quantile(p)
+    return bvn_cdf_excess_diag(z, delta)
 
 
+@float_or_array
 def phi_from_tetrachoric(p, delta: float, z=None):
     """Phi coefficient of the dichotomised pair with equal margins p.
 
     ``(Phi2(z(p), z(p), delta) - p^2) / (p (1 - p))``; zero at delta = 0,
-    attenuated toward zero as p leaves 1/2.  Accepts scalar or array p, and
-    optionally its quantile ``z`` (see ``_phi2_excess``).
+    attenuated toward zero as p leaves 1/2.  Optionally takes the quantile
+    ``z`` of p (see ``_phi2_excess``).
     """
-    excess = _phi2_excess(p, delta, z)
-    p = np.asarray(p, dtype=np.float64) if np.ndim(p) else p
-    return excess / (p * (1.0 - p))
+    return _phi2_excess(p, delta, z) / (p * (1.0 - p))
 
 
+@float_or_array
 def persistence_from_tetrachoric(p, delta: float):
     """Persistence 2*Phi2(z(p), z(p), delta) - 2p + 1 of the binary walk."""
-    excess = _phi2_excess(p, delta)
-    p = np.asarray(p, dtype=np.float64) if np.ndim(p) else p
-    return 2.0 * excess + 2.0 * p * p - 2.0 * p + 1.0
+    return 2.0 * _phi2_excess(p, delta) + 2.0 * p * p - 2.0 * p + 1.0
 
 
 def persistence_from_p(p, model: HurstModel):
@@ -66,6 +59,7 @@ def persistence_from_p(p, model: HurstModel):
     return persistence_from_tetrachoric(p, model.delta1)
 
 
+@float_or_array
 def n_step_correlation_from_delta(p, delta: float, n: int):
     """Correlation of binary +-1 increments n steps apart.
 
@@ -78,9 +72,7 @@ def n_step_correlation_from_delta(p, delta: float, n: int):
         # (lam - (2p-1)^2) telescopes to 4*excess exactly; evaluating it that
         # way avoids cancellation against (2p-1)^2 ~ 1 when p is tiny
         return phi_from_tetrachoric(p, delta)
-    excess = _phi2_excess(p, delta)
-    p = np.asarray(p, dtype=np.float64) if np.ndim(p) else p
-    lam = 4.0 * excess + (2.0 * p - 1.0) ** 2
+    lam = 4.0 * _phi2_excess(p, delta) + (2.0 * p - 1.0) ** 2
     return (lam**n - (2.0 * p - 1.0) ** 2) / (4.0 * p * (1.0 - p))
 
 
@@ -91,5 +83,5 @@ def n_step_correlation(p, model: HurstModel, n: int):
 
 def sigma_max(model: HurstModel) -> float:
     """Largest attainable lag-1 phi coefficient, (2/pi) asin(delta1) at p = 1/2."""
-    return float(n_step_correlation(0.5, model, 1))
+    return n_step_correlation(0.5, model, 1)
 

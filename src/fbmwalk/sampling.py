@@ -18,7 +18,7 @@ import numpy as np
 
 from .fgn import HurstModel
 from .link import n_step_correlation, phi_from_tetrachoric, sigma_max
-from .special import std_normal_cdf, std_normal_quantile
+from .special import float_or_array, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "InfeasibleTargetError",
@@ -46,17 +46,12 @@ class InfeasibleTargetError(ValueError):
     """Raised when solve_p_batch is handed a target above sigma_max."""
 
 
+@float_or_array
 def target_from_uniform(u, model: HurstModel):
-    """Map uniforms in [0, 1) to target correlations 1 - (1-u)^(1/(2-2H)).
-
-    A scalar ``u`` gives a float, an array an array.
-    """
-    scalar = np.ndim(u) == 0
-    u = np.asarray(u, dtype=np.float64)
+    """Map uniforms in [0, 1) to target correlations 1 - (1-u)^(1/(2-2H))."""
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError(f"uniform must be in [0, 1), got {u}")
-    out = -np.expm1(np.log1p(-u) / (2.0 - 2.0 * model.h))
-    return float(out) if scalar else out
+    return -np.expm1(np.log1p(-u) / (2.0 - 2.0 * model.h))
 
 
 def feasibility_threshold(model: HurstModel) -> float:
@@ -94,7 +89,7 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel, stats: dict | None = N
     if np.any(targets < 0.0):
         raise ValueError("targets must be nonnegative")
 
-    s_floor = float(n_step_correlation(P_FLOOR, model, 1))
+    s_floor = n_step_correlation(P_FLOOR, model, 1)
     at_floor = targets <= s_floor
     x = np.full_like(targets, _NEWTON_START)
     lo = np.full_like(targets, math.log(P_FLOOR))
@@ -123,7 +118,7 @@ def solve_p_batch(targets: np.ndarray, model: HurstModel, stats: dict | None = N
     p = np.where(targets == s_max, 0.5, np.exp(x))
     p = np.where(at_floor, P_FLOOR, p)
 
-    achieved = np.asarray(n_step_correlation(p, model, 1))
+    achieved = n_step_correlation(p, model, 1)
     bad = ~at_floor & (np.abs(achieved - targets) > CORR_TOL)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
@@ -159,20 +154,18 @@ def draw_persistence(u: np.ndarray, model: HurstModel) -> np.ndarray:
     return 1.0 - 0.5 * np.exp(np.log1p(-np.asarray(u, dtype=np.float64)) / (2.0 - 2.0 * model.h))
 
 
+@float_or_array
 def density_p(p, model: HurstModel):
     """Nominal density of p, ``F'(sigma1(p)) sigma1'(p)`` with ``F(s) = 1 - (1-s)^(2-2H)``.
 
     The derivative is exact.  With ``e = Phi2(z, z, delta1) - p^2`` at the
     quantile z = z(p), ``e' = 2 (Phi(z sqrt((1-delta1)/(1+delta1))) - p)``, and
     ``sigma1 = e / (p (1-p))`` gives ``sigma1' = (e' - sigma1 (1-2p)) / (p (1-p))``.
-    Scalar or array p in [P_FLOOR, 1 - P_FLOOR]; negative for p > 1/2, where
+    Defined for p in [P_FLOOR, 1 - P_FLOOR]; negative for p > 1/2, where
     sigma1 decreases by symmetry.
     """
-    scalar = np.ndim(p) == 0
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if np.any((p < P_FLOOR) | (p > 1.0 - P_FLOOR)):
         raise ValueError(f"p must lie in [{P_FLOOR}, 1 - {P_FLOOR}]")
     s1, slope = _sigma1_slope(p, model)
     ds1 = slope / (p * (1.0 - p))
-    out = (2.0 - 2.0 * model.h) * (1.0 - s1) ** (1.0 - 2.0 * model.h) * ds1
-    return float(out[0]) if scalar else out
+    return (2.0 - 2.0 * model.h) * (1.0 - s1) ** (1.0 - 2.0 * model.h) * ds1

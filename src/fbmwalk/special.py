@@ -10,6 +10,7 @@ sum of positive terms for r > 0, never a difference of near-equal numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,23 @@ __all__ = [
     "std_normal_quantile",
     "bvn_cdf_excess_diag",
 ]
+
+
+def float_or_array(fn):
+    """Give ``fn`` its first argument as a float64 array; a scalar runs as one element and gives a float.
+
+    So a scalar has the bits of the same value in an array.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(x, *args, **kwargs):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim:
+            return fn(x, *args, **kwargs)
+        return float(fn(x.reshape(1), *args, **kwargs)[0])
+
+    return wrapper
+
 
 _SQRT2 = math.sqrt(2.0)
 _TWOPI = 2.0 * math.pi
@@ -89,15 +107,10 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@float_or_array
 def std_normal_cdf(x):
-    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), accurate to ~1e-15 including deep tails.
-
-    Accepts a scalar (returns a float) or an array; scalars run through the
-    same array code so both give the same bits.
-    """
-    scalar = np.ndim(x) == 0
-    out = 0.5 * _erfc(-np.atleast_1d(np.asarray(x, dtype=np.float64)) / _SQRT2)
-    return float(out[0]) if scalar else out
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), accurate to ~1e-15 including deep tails."""
+    return 0.5 * _erfc(-x / _SQRT2)
 
 
 # Wichura's PPND16 rational minimax coefficients (Applied Statistics AS 241).
@@ -170,39 +183,33 @@ def _horner(coeffs, r: np.ndarray) -> np.ndarray:
     return acc
 
 
+@float_or_array
 def std_normal_quantile(p):
     """Inverse standard normal CDF (Wichura's AS 241, double precision).
 
-    Accepts a scalar (returns a float) or an array; scalars run through the
-    same array code so both give the same bits.  Raises ValueError unless
-    every argument lies in the open interval (0, 1).
+    Raises ValueError unless every argument lies in the open interval (0, 1).
     """
-    scalar = np.ndim(p) == 0
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("quantile arguments must be in (0, 1)")
     q = p - 0.5
     out = np.empty_like(p)
 
     central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * _horner(_PPND_A, r) / _horner(_PPND_B, r)
+    r = 0.180625 - q[central] ** 2
+    out[central] = q[central] * _horner(_PPND_A, r) / _horner(_PPND_B, r)
 
     tail = ~central
-    if np.any(tail):
-        pt = p[tail]
-        qt = q[tail]
-        r = np.where(qt < 0.0, pt, 1.0 - pt)
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        for sel, cn, cd, shift in ((near, _PPND_C, _PPND_D, 1.6), (~near, _PPND_E, _PPND_F, 5.0)):
-            if np.any(sel):
-                rs = r[sel] - shift
-                val[sel] = _horner(cn, rs) / _horner(cd, rs)
-        out[tail] = np.where(qt < 0.0, -val, val)
-    return float(out[0]) if scalar else out
+    pt = p[tail]
+    qt = q[tail]
+    r = np.where(qt < 0.0, pt, 1.0 - pt)
+    r = np.sqrt(-np.log(r))
+    near = r <= 5.0
+    val = np.empty_like(r)
+    for sel, cn, cd, shift in ((near, _PPND_C, _PPND_D, 1.6), (~near, _PPND_E, _PPND_F, 5.0)):
+        rs = r[sel] - shift
+        val[sel] = _horner(cn, rs) / _horner(cd, rs)
+    out[tail] = np.where(qt < 0.0, -val, val)
+    return out
 
 
 # 20-point Gauss-Legendre rule on [-1, 1] for the Drezner-Wesolowsky
@@ -221,6 +228,7 @@ _GL_X = (
 )
 
 
+@float_or_array
 def bvn_cdf_excess_diag(z, r: float):
     """Phi2(z, z, r) - Phi(z)**2 on the diagonal, computed without cancellation.
 
@@ -228,9 +236,9 @@ def bvn_cdf_excess_diag(z, r: float):
     ``Phi2(z, z, r) = Phi(z)^2 + (1/2pi) int_0^{asin r} exp(-z^2/(1+sin t)) dt``
     (the derivative of Phi2 in r is the bivariate density, and r = sin t),
     so the excess over the independent case is the quadrature term alone.
-    ``z`` is a scalar or a numpy array; ``r`` lies in (-1, 1), which the
-    caller checks.  One 20-point Gauss-Legendre rule serves every r: against
-    40-digit quadrature at p = Phi(z) from 1e-8 to 1/2 the excess is within
+    ``r`` lies in (-1, 1), which the caller checks.  One 20-point
+    Gauss-Legendre rule serves every r: against 40-digit quadrature at
+    p = Phi(z) from 1e-8 to 1/2 the excess is within
     2e-15 relative for 0 < r <= 0.999 and down to r = -0.5.  As r -> -1
     the integrand peaks sharply at the upper end and the fixed rule loses
     accuracy: the phi-coefficient error (excess / (p (1-p))) is below 5e-16
@@ -238,9 +246,8 @@ def bvn_cdf_excess_diag(z, r: float):
     -0.999.  No fGn lag correlation is negative for 1/2 < H < 1, so the walk
     laws never evaluate r < 0.
     """
-    z = np.asarray(z, dtype=np.float64)
     if r == 0.0:
-        return np.zeros_like(z) if z.shape else 0.0
+        return np.zeros_like(z)
     asr = math.asin(r)
     z2 = z * z
     acc = np.zeros_like(z2)
@@ -248,5 +255,4 @@ def bvn_cdf_excess_diag(z, r: float):
         for sign in (-1.0, 1.0):
             sn = math.sin(asr * (sign * xi + 1.0) / 2.0)
             acc += wi * np.exp(-z2 / (1.0 + sn))
-    out = acc * asr / (2.0 * _TWOPI)
-    return out if z.shape else float(out)
+    return acc * asr / (2.0 * _TWOPI)

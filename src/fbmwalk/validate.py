@@ -64,10 +64,10 @@ def _check_threshold(model: HurstModel) -> Check:
 
 
 def _check_roundtrip(model: HurstModel, rng: np.random.Generator, k: int = 200) -> Check:
-    s_floor = float(n_step_correlation(P_FLOOR, model, 1))
+    s_floor = n_step_correlation(P_FLOOR, model, 1)
     targets = rng.uniform(s_floor, sigma_max(model), k)
     ps = solve_p_batch(targets, model)
-    achieved = np.asarray(n_step_correlation(ps, model, 1))
+    achieved = n_step_correlation(ps, model, 1)
     worst = float(np.max(np.abs(achieved - targets)))
     return Check(
         name="inversion_roundtrip",
@@ -85,7 +85,7 @@ def _check_paper_chain_law(
     walks = [expand_steps(*_walk_levels(rng, steps, p, rho), steps) for _ in range(reps)]
     mean, se = _mean_se([_acf_about(w, 2.0 * p - 1.0, 5) for w in walks])
     lag_law = rho ** np.arange(1, 6)  # a renewal chain decays as keep^n
-    prop2 = np.array([float(n_step_correlation(p, model, n)) for n in range(1, 6)])
+    prop2 = np.array([n_step_correlation(p, model, n) for n in range(1, 6)])
     z = np.abs(mean - lag_law) / se
     return Check(
         name="paper_chain_lag_law",
@@ -137,9 +137,9 @@ def _check_density_mass(model: HurstModel) -> Check:
     lo, hi = 1e-5, 0.5 - 1e-6
     # log-spaced panel through the steep small-p region, linear panel beyond
     xs = np.concatenate([np.geomspace(lo, 1e-2, 4000), np.linspace(1e-2, hi, 8000)[1:]])
-    gs = np.asarray(density_p(xs, model))
+    gs = density_p(xs, model)
     quad = float(np.trapezoid(gs, xs))
-    tail = 1.0 - (1.0 - float(n_step_correlation(lo, model, 1))) ** (2.0 - 2.0 * model.h)
+    tail = 1.0 - (1.0 - n_step_correlation(lo, model, 1)) ** (2.0 - 2.0 * model.h)
     total = quad + tail
     return Check(
         name="density_mass_deficit",
@@ -159,7 +159,7 @@ def _check_dichotomized_oracle(
     p = 0.3
     factor = fgn_cholesky_factor(model, n)
     incs = [dichotomized_gaussian_walk(model, p, n, rng, factor=factor) for _ in range(reps)]
-    pred = float(n_step_correlation(p, model, 1))
+    pred = n_step_correlation(p, model, 1)
     m_lag, se_lag = map(float, _mean_se([_acf_about(inc, 2.0 * p - 1.0, 1)[0] for inc in incs]))
     m_p, se_p = map(float, _mean_se([np.mean(inc == 1) for inc in incs]))
     z_lag = abs(m_lag - pred) / se_lag

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tempfile
 import warnings
 
 import numpy as np
@@ -144,6 +145,19 @@ def _row_reference(values, steps) -> str:
     return "t,value\n" + "".join(f"{k / steps:.12g},{float(v)!r}\n" for k, v in enumerate(values))
 
 
+def _first_difference(got: str, want: str) -> str | None:
+    """None if the texts are equal, else their first differing line.
+
+    A short report, so a wrong file of megabytes fails at once instead of
+    having its whole text diffed.
+    """
+    if got == want:
+        return None
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"line {i + 1} of {len(a)}, {len(b)} wanted: {a[i : i + 1]!r} != {b[i : i + 1]!r}"
+
+
 def _awkward_rows(n: int, seed: int):
     """n rows of values over the whole double range, with -0.0, the least
     subnormal and 17-digit values at the chunk edges, and their steps n - 1."""
@@ -158,7 +172,7 @@ def test_chunked_csv_writer_matches_row_format(tmp_path):
     values, steps = _awkward_rows(2 * _CSV_CHUNK + 7, 4)
     out = tmp_path / "chunked.csv"
     _write_path_csv(str(out), values, steps)
-    assert out.read_text() == _row_reference(values, steps)
+    assert _first_difference(out.read_text(), _row_reference(values, steps)) is None
 
 
 @pytest.mark.parametrize("n", [_CSV_CHUNK + 5, 2 * _CSV_CHUNK + 7, 3 * _CSV_CHUNK + 2])
@@ -172,7 +186,7 @@ def test_csv_writer_same_bytes_at_every_process_count(tmp_path, monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / f"cpus{cpus}.csv"
         assert _write_path_csv(str(out), values, steps) == max(1, min(cpus, n // _CSV_CHUNK))
-        assert out.read_text() == reference, cpus
+        assert _first_difference(out.read_text(), reference) is None, cpus
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.csv", "cpus2.csv", "cpus3.csv"]
 
 
@@ -243,6 +257,31 @@ def test_output_through_a_symlink_writes_its_target(tmp_path):
     link.symlink_to(target)
     assert run(["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--out", link]) == 0
     assert link.is_symlink() and target.read_text().startswith("t,value\n0,0.0\n")
+
+
+def test_csv_parts_go_beside_the_target_of_a_link(tmp_path, monkeypatch):
+    # the forked parts are made in the directory the output is moved into,
+    # the one the write checked, not beside the link
+    target = tmp_path / "data" / "p.csv"
+    target.parent.mkdir()
+    link = tmp_path / "links" / "p.csv"
+    link.parent.mkdir()
+    link.symlink_to(target)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    made_in = []
+    temporary_file = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        made_in.append(kwargs["dir"])
+        return temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    values, steps = _awkward_rows(2 * _CSV_CHUNK + 7, 4)
+    assert _write_path_csv(str(link), values, steps) == 2
+    assert made_in == [os.path.realpath(target.parent)]
+    assert link.is_symlink() and _first_difference(target.read_text(), _row_reference(values, steps)) is None
+    assert [p.name for p in link.parent.iterdir()] == ["p.csv"]
+    assert [p.name for p in target.parent.iterdir()] == ["p.csv"]
 
 
 def _must_not_run(*args, **kwargs):
@@ -367,6 +406,26 @@ def test_estimate_parse_error_with_line(tmp_path, capsys):
         assert run(["estimate", "--input", f]) == 2, bad
         err = capsys.readouterr().err
         assert "bad.csv:3" in err, bad
+
+
+def test_estimate_rows_must_match_the_sidecar(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run(["generate", "--hurst", 0.7, "--steps", 512, "--paths", 16, "--seed", 4, "--out", out]) == 0
+    rows = out.read_text().splitlines(keepends=True)
+    bare = tmp_path / "bare.csv"
+    for body in (rows[:-100], rows + ["513,0.5\n"]):
+        out.write_text("".join(body))
+        capsys.readouterr()
+        assert run(["estimate", "--input", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config: {out}: {len(body) - 1} rows, but its sidecar records 512 steps" in err
+        # the same rows without a sidecar read as before, a path of their length
+        bare.write_text("".join(body))
+        assert run(["estimate", "--input", bare]) == 0
+    # a sidecar that records no integer steps is not checked against
+    for meta in ("{}", '{"steps": "512"}', "[512]"):
+        (tmp_path / "bare.csv.meta.json").write_text(meta)
+        assert run(["estimate", "--input", bare]) == 0
 
 
 def test_estimate_missing_file(tmp_path):
