@@ -49,20 +49,26 @@ _CSV_CHUNK = 1 << 16  # rows formatted and written at a time
 
 
 @contextlib.contextmanager
-def _replacing(out: str, mode: str):
-    """Yield a new file beside ``out``, opened in ``mode``; it replaces ``out`` when the block succeeds.
+def _replacing(out: str):
+    """Reserve a new file beside ``out`` and yield its path; it replaces ``out`` when the block succeeds.
 
-    On any error the file is removed instead, so an existing ``out`` keeps
-    its bytes and a missing one stays missing.  As with ``open(out, "w")``, a
-    symbolic link is written through, and the moved file has the mode an
-    existing file had, else 0o666 less the umask.
+    Entered before the work, so an output that cannot be written fails
+    first: an existing ``out`` is opened to append, which raises what
+    ``open(out, "w")`` would and truncates nothing, and the reservation
+    checks that its directory takes new files.  On any error the new file
+    is removed, so an existing ``out`` keeps its bytes and a missing one
+    stays missing.  As with ``open(out, "w")``, a symbolic link is written
+    through, and the moved file has the mode an existing file had, else
+    0o666 less the umask.
     """
     out = os.path.realpath(out)
+    with contextlib.suppress(FileNotFoundError):
+        os.close(os.open(out, os.O_WRONLY | os.O_APPEND))
     here, name = os.path.split(out)
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=here)
     try:
-        with open(fd, mode) as fh:
-            yield fh
+        os.close(fd)
+        yield tmp
         try:
             perms = stat.S_IMODE(os.stat(out).st_mode)
         except FileNotFoundError:
@@ -109,20 +115,18 @@ def _write_path_csv(out: str, values: np.ndarray, steps: int) -> int:
     Formatting, not writing, is the cost, and rows are independent: the rows
     are cut into k contiguous parts, k the usable CPUs but at most one part
     per full chunk.  Parts 2..k are formatted by forked children into
-    anonymous temporary files beside the file ``out`` names (through a
-    symbolic link, beside its target) and appended in order, so the
-    bytes are the same at every k.  ``out`` appears only once it is whole.
+    anonymous temporary files in the directory of ``out`` and appended in
+    order, so the bytes are the same at every k.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(values) // _CSV_CHUNK))
     cuts = [len(values) * j // k for j in range(k + 1)]
-    here = os.path.dirname(os.path.realpath(out))  # where _replacing writes
-    with _replacing(out, "wb") as fh, contextlib.ExitStack() as parts:
+    with open(out, "wb") as fh, contextlib.ExitStack() as parts:
         fh.write(b"t,value\n")
         children = []  # (pid, part file)
         try:
             for a, b in zip(cuts[1:-1], cuts[2:]):
-                part = parts.enter_context(tempfile.TemporaryFile(dir=here))
+                part = parts.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(out)))
                 pid = os.fork()
                 if pid == 0:
                     _write_part(part, values[a:b], steps, a)
@@ -141,7 +145,7 @@ def _write_path_csv(out: str, values: np.ndarray, steps: int) -> int:
 
 def _write_path_json(out: str, values: np.ndarray, steps: int) -> None:
     doc = {"t": [f"{k / steps:.12g}" for k in range(len(values))], "value": [float(v) for v in values]}
-    with _replacing(out, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
@@ -204,71 +208,55 @@ def _parse_path_lines(path: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _check_writable(path: str) -> None:
-    """Raise OSError now, before any work, if ``path`` cannot be written.
-
-    Opening to append truncates no existing file, and a file the check
-    created is removed again.  The output is written beside the file
-    ``path`` names under a temporary name and moved onto it, so an anonymous
-    temporary file checks that that directory takes new files.
-    """
-    existed = os.path.lexists(path)
-    with open(path, "a"):
-        pass
-    if not existed:
-        os.remove(path)
-    tempfile.TemporaryFile(dir=os.path.dirname(os.path.realpath(path))).close()
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     model = HurstModel(args.hurst)
     if args.paths < 1 or args.workers < 1:
         return _fail("config", "--paths and --workers must be >= 1", EXIT_CONFIG)
-    _check_writable(args.out)
-    _check_writable(args.out + ".meta.json")
-    t0 = time.perf_counter()
-    if args.mode == "gaussian-oracle":
-        values = cholesky_fbm(model, args.steps, args.seed)
-        meta = {
-            "mode": args.mode,
-            "seed": args.seed,
-            "backend": BACKEND,
-            "stream_version": STREAM_VERSION,
-        }
-    else:
-        path = generate_fbm(
-            model,
-            args.steps,
-            args.paths,
-            mode=args.mode,
-            seed=args.seed,
-            workers=args.workers,
+    # both outputs are reserved before the work and moved, the CSV first, once both are written
+    with _replacing(args.out + ".meta.json") as side, _replacing(args.out) as out:
+        t0 = time.perf_counter()
+        if args.mode == "gaussian-oracle":
+            values = cholesky_fbm(model, args.steps, args.seed)
+            meta = {
+                "mode": args.mode,
+                "seed": args.seed,
+                "backend": BACKEND,
+                "stream_version": STREAM_VERSION,
+            }
+        else:
+            path = generate_fbm(
+                model,
+                args.steps,
+                args.paths,
+                mode=args.mode,
+                seed=args.seed,
+                workers=args.workers,
+            )
+            values = path.values
+            meta = dict(path.meta, paths=args.paths)
+        meta.update(
+            {
+                "command": "generate",
+                "hurst": args.hurst,
+                "steps": args.steps,
+                "format": args.format,
+                "raw_levels": bool(args.raw_levels),
+                "out": args.out,
+                "wall_time_s": time.perf_counter() - t0,
+            }
         )
-        values = path.values
-        meta = dict(path.meta, paths=args.paths)
-    meta.update(
-        {
-            "command": "generate",
-            "hurst": args.hurst,
-            "steps": args.steps,
-            "format": args.format,
-            "raw_levels": bool(args.raw_levels),
-            "out": args.out,
-            "wall_time_s": time.perf_counter() - t0,
-        }
-    )
-    # row k is at t = k / N, or at its index k under --raw-levels
-    steps = 1 if args.raw_levels else args.steps
-    t_write = time.perf_counter()
-    if args.format == "csv":
-        meta["write_processes"] = _write_path_csv(args.out, values, steps)
-    else:
-        _write_path_json(args.out, values, steps)
-        meta["write_processes"] = 1
-    meta["write_s"] = time.perf_counter() - t_write
-    with _replacing(args.out + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # row k is at t = k / N, or at its index k under --raw-levels
+        steps = 1 if args.raw_levels else args.steps
+        t_write = time.perf_counter()
+        if args.format == "csv":
+            meta["write_processes"] = _write_path_csv(out, values, steps)
+        else:
+            _write_path_json(out, values, steps)
+            meta["write_processes"] = 1
+        meta["write_s"] = time.perf_counter() - t_write
+        with open(side, "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     print(f"wrote {args.out} ({len(values)} points)")
     return EXIT_OK
 
@@ -328,24 +316,21 @@ def cmd_spread(args: argparse.Namespace) -> int:
     model = HurstModel(args.hurst)
     if args.replicates < 1:
         return _fail("config", "--replicates must be >= 1", EXIT_CONFIG)
-    if args.out:
-        _check_writable(args.out)
-    doc = replicate_spread(
-        model,
-        n_steps=args.steps,
-        n_paths=args.paths,
-        replicates=args.replicates,
-        mode=args.mode,
-        seed=args.seed,
-    )
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with _replacing(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    with _replacing(args.out) if args.out else contextlib.nullcontext() as out:
+        doc = replicate_spread(
+            model,
+            n_steps=args.steps,
+            n_paths=args.paths,
+            replicates=args.replicates,
+            mode=args.mode,
+            seed=args.seed,
+        )
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+                fh.write("\n")
+    print(f"wrote {args.out}" if args.out else text)
     return EXIT_OK
 
 

@@ -2,10 +2,10 @@
 
 Thresholding a correlated standard-normal pair at the p-quantile produces a
 correlated binary pair; this module maps the latent (tetrachoric) correlation
-to the binary (phi) correlation, derives the walk persistence, the n-step
-correlation of the binary increments and its maximum ``sigma_max``.  Every
-law goes through one bivariate quantity, the diagonal excess
-``Phi2(z(p), z(p), delta) - p^2``.
+to the binary (phi) correlation, derives the walk persistence, the paper's
+stated n-step law of the binary increments and the largest lag-1
+correlation ``sigma_max``.  Every law goes through one bivariate quantity,
+the diagonal excess ``Phi2(z(p), z(p), delta) - p^2``.
 """
 
 from __future__ import annotations
@@ -61,10 +61,13 @@ def persistence_from_p(p, model: HurstModel):
 
 @float_or_array
 def n_step_correlation_from_delta(p, delta: float, n: int):
-    """Correlation of binary +-1 increments n steps apart.
+    """The paper's stated law for binary +-1 increments n steps apart.
 
     ``((2 rho(p) - 1)^n - (2p - 1)^2) / (4 p (1 - p))`` with
-    ``2 rho - 1 = 4 Phi2 - 4p + 1``; reduces to the phi coefficient at n = 1.
+    ``2 rho - 1 = 4 Phi2 - 4p + 1``.  At n = 1 it is the phi coefficient,
+    the lag-1 correlation.  At n >= 2 it is the walk's lag-n correlation
+    only at p = 1/2, where it is ``(2 rho - 1)^n``; as p -> 0 it tends to
+    ``1 - n``, so for n >= 3 it leaves [-1, 1] and is no correlation.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -77,7 +80,7 @@ def n_step_correlation_from_delta(p, delta: float, n: int):
 
 
 def n_step_correlation(p, model: HurstModel, n: int):
-    """n-step increment correlation at the model's one-step fGn tetrachoric."""
+    """The stated n-step law (``n_step_correlation_from_delta``) at the model's one-step fGn tetrachoric."""
     return n_step_correlation_from_delta(p, model.delta1, n)
 
 

@@ -71,13 +71,16 @@ _ERFC_Q = (
 _INV_SQRTPI = 1.0 / math.sqrt(math.pi)
 
 
+def _horner(coeffs, r: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(r)
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
+
+
 def _cody_ratio(num, den, y):
-    """Cody's rational function of y: ``num[-1]`` leads, ``num[-2]`` and ``den[-1]`` are the constant terms."""
-    xnum, xden = num[-1] * y, y
-    for a, b in zip(num[:-2], den[:-1]):
-        xnum = (xnum + a) * y
-        xden = (xden + b) * y
-    return (xnum + num[-2]) / (xden + den[-1])
+    """Cody's rational function of y: ``num[-1]`` leads, ``num[-2]`` and ``den[-1]`` are the constant terms, ``den`` leads with 1."""
+    return _horner((num[-2], *num[-3::-1], num[-1]), y) / _horner((den[-1], *den[-2::-1], 1.0), y)
 
 
 def _times_exp_neg_square(v: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -174,13 +177,6 @@ _PPND_F = (
     1.42151175831644588870e-7,
     2.04426310338993978564e-15,
 )
-
-
-def _horner(coeffs, r: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(r)
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
 
 
 @float_or_array

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fbmwalk.cli
-from fbmwalk.cli import _CSV_CHUNK, _parse_path_lines, _read_path_csv, _write_path_csv, main
+from fbmwalk.cli import _CSV_CHUNK, _parse_path_lines, _read_path_csv, _replacing, _write_path_csv, main
 from fbmwalk.validate import Check
 
 
@@ -203,8 +203,9 @@ def test_csv_part_failure_is_an_error_and_leaves_nothing(tmp_path, monkeypatch, 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(fbmwalk.cli, "_write_rows", _fails_in_a_child(os.getpid(), fbmwalk.cli._write_rows))
     values, steps = _awkward_rows(2 * _CSV_CHUNK, 5)
-    with pytest.raises(OSError, match="part 2 of 2"):
-        _write_path_csv(str(tmp_path / "direct.csv"), values, steps)
+    # the writer raises; the reservation it writes into removes what it wrote
+    with pytest.raises(OSError, match="part 2 of 2"), _replacing(str(tmp_path / "direct.csv")) as out:
+        _write_path_csv(out, values, steps)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     argv = ["generate", "--hurst", 0.7, "--mode", "enriquez", "--steps", 2 * _CSV_CHUNK, "--paths", 2]
@@ -261,7 +262,7 @@ def test_output_through_a_symlink_writes_its_target(tmp_path):
 
 def test_csv_parts_go_beside_the_target_of_a_link(tmp_path, monkeypatch):
     # the forked parts are made in the directory the output is moved into,
-    # the one the write checked, not beside the link
+    # not beside the link
     target = tmp_path / "data" / "p.csv"
     target.parent.mkdir()
     link = tmp_path / "links" / "p.csv"
@@ -276,12 +277,56 @@ def test_csv_parts_go_beside_the_target_of_a_link(tmp_path, monkeypatch):
         return temporary_file(*args, **kwargs)
 
     monkeypatch.setattr(tempfile, "TemporaryFile", recording)
-    values, steps = _awkward_rows(2 * _CSV_CHUNK + 7, 4)
-    assert _write_path_csv(str(link), values, steps) == 2
+    steps = 2 * _CSV_CHUNK + 6
+    argv = ["generate", "--hurst", 0.7, "--mode", "enriquez", "--steps", steps, "--paths", 2, "--out", link]
+    assert run(argv) == 0
     assert made_in == [os.path.realpath(target.parent)]
-    assert link.is_symlink() and _first_difference(target.read_text(), _row_reference(values, steps)) is None
-    assert [p.name for p in link.parent.iterdir()] == ["p.csv"]
+    assert link.is_symlink() and len(_read_path_csv(str(target))) == steps + 1
+    assert json.loads((link.parent / "p.csv.meta.json").read_text())["write_processes"] == 2
+    assert sorted(p.name for p in link.parent.iterdir()) == ["p.csv", "p.csv.meta.json"]
     assert [p.name for p in target.parent.iterdir()] == ["p.csv"]
+
+
+def test_dangling_link_out_of_a_failed_run_creates_nothing(tmp_path):
+    # the file a dangling link names is not made before the work, so a run
+    # that fails in the work leaves the directory as it was
+    link = tmp_path / "out.csv"
+    link.symlink_to("missing.csv")
+    assert run(["generate", "--hurst", 0.7, "--steps", 1, "--paths", 4, "--out", link]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert link.is_symlink() and not link.exists()
+
+
+def test_dangling_link_out_gets_its_target_written(tmp_path):
+    # as open(out, "w") would: the link stays a link and the file it names is made with the rows
+    link = tmp_path / "out.csv"
+    link.symlink_to("missing.csv")
+    assert run(["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--out", link]) == 0
+    assert link.is_symlink() and os.readlink(link) == "missing.csv"
+    assert len(_read_path_csv(str(tmp_path / "missing.csv"))) == 65
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["missing.csv", "out.csv", "out.csv.meta.json"]
+
+
+def test_sidecar_failure_moves_neither_output(tmp_path, monkeypatch, capsys):
+    # the CSV and its sidecar are moved only once both are written: a sidecar
+    # that fails leaves the earlier pair as it was, and no temporary file
+    out = tmp_path / "p.csv"
+    argv = ["generate", "--hurst", 0.7, "--steps", 64, "--paths", 4, "--out", out]
+    assert run([*argv, "--seed", 1]) == 0
+    side = tmp_path / "p.csv.meta.json"
+    before = out.read_bytes(), side.read_bytes()
+    dump = json.dump
+
+    def failing(obj, fh, **kwargs):
+        if "steps" in obj:  # the sidecar, not a JSON path
+            raise OSError("No space left on device")
+        dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", failing)
+    assert run([*argv, "--seed", 2]) == 2
+    assert "error: config: No space left on device" in capsys.readouterr().err
+    assert (out.read_bytes(), side.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "p.csv.meta.json"]
 
 
 def _must_not_run(*args, **kwargs):

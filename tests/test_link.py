@@ -7,6 +7,7 @@ from scipy.special import ndtr, ndtri
 
 from fbmwalk import HurstModel, n_step_correlation, persistence_from_p, phi_from_tetrachoric, sigma_max
 from fbmwalk.link import n_step_correlation_from_delta, persistence_from_tetrachoric
+from fbmwalk.sampling import P_FLOOR
 
 
 def phi_quadrature(p: float, delta: float) -> float:
@@ -148,6 +149,15 @@ def test_sigma1_strictly_increasing_on_branch(model_07, model_055, model_085):
     for m in (model_07, model_055, model_085):
         vals = np.atleast_1d(n_step_correlation(ps, m, 1))
         assert np.all(np.diff(vals) > 0.0)
+
+
+def test_n_step_law_at_the_median_and_the_floor(model_07):
+    # at n >= 2 the stated law is the walk's lag-n correlation (2 rho - 1)^n
+    # only at p = 1/2; as p -> 0 it tends to 1 - n, no correlation for n >= 3
+    rho = persistence_from_p(0.5, model_07)
+    for n in range(2, 6):
+        assert n_step_correlation(0.5, model_07, n) == pytest.approx((2.0 * rho - 1.0) ** n, rel=1e-14, abs=0.0)
+        assert n_step_correlation(P_FLOOR, model_07, n) == pytest.approx(1.0 - n, abs=1e-3)
 
 
 def test_n_step_rejects_bad_lag(model_07):
